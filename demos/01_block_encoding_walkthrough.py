@@ -13,15 +13,16 @@ import numpy as np
 from timebinrng import (
     Combination,
     DetectionStream,
-    ExtractorConfig,
     binary_expansion,
     binomial,
-    encode_block,
     extract,
     rank_combination,
-    scan_blocks,
 )
-from timebinrng.extractor import BlockOutcome
+
+
+def positions_of(windows):
+    return tuple(i + 1 for i, b in enumerate(windows) if b)
+
 
 # Eight windows: an avalanche in window 1, then one in windows 5 and 6.
 stream = DetectionStream(np.array([1, 0, 0, 0, 1, 1, 0, 0], dtype=np.uint8))
@@ -29,17 +30,18 @@ stream = DetectionStream(np.array([1, 0, 0, 0, 1, 1, 0, 0], dtype=np.uint8))
 print("stream windows:", stream.windows.tolist())
 print()
 
-for block in scan_blocks(stream, 4):
-    c = block.combination
-    frag = encode_block(block)
+for b in range(len(stream) // 4):
+    block = stream.windows[4 * b : 4 * b + 4]
+    c = Combination(4, int(block.sum()), positions_of(block))
+    frag = extract(DetectionStream(block), 4).ascii_bits()
     rank = rank_combination(c) if 0 < c.k < c.n else None
     exps = binary_expansion(c.n, c.k).exponents if 0 < c.k < c.n else None
-    print(f"block {block.block_index}: positions {c.positions} (k={c.k})")
+    print(f"block {b}: positions {c.positions} (k={c.k})")
     print(f"  C(4,{c.k}) = {binomial(4, c.k)} splits into powers {exps}")
-    print(f"  rank = {rank} -> fragment {frag.bits!r} ({frag.bit_length} bit)")
+    print(f"  rank = {rank} -> fragment {frag!r} ({len(frag)} bit)")
 print()
 
-out = extract(stream, ExtractorConfig(block_len=4))
+out = extract(stream, 4)
 print(f"extracted bit string: {out.ascii_bits()!r}")
 print(f"stats: {out.stats}")
 print()
@@ -48,10 +50,9 @@ print()
 print("pattern  k  rank  fragment")
 for x in range(16):
     windows = tuple((x >> (3 - j)) & 1 for j in range(4))
-    positions = tuple(i + 1 for i, b in enumerate(windows) if b)
+    positions = positions_of(windows)
     k = len(positions)
-    block = BlockOutcome(Combination(4, k, positions), 0)
-    frag = encode_block(block)
-    rank = rank_combination(block.combination) if 0 < k < 4 else "-"
-    emitted = frag.bits if frag else "(discarded)"
+    frag = extract(DetectionStream(np.array(windows, dtype=np.uint8)), 4).ascii_bits()
+    rank = rank_combination(Combination(4, k, positions)) if 0 < k < 4 else "-"
+    emitted = frag or "(discarded)"
     print(f"{''.join(map(str, windows))}     {k}  {rank!s:>4}  {emitted}")

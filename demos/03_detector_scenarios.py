@@ -12,7 +12,6 @@ Rates here use 4e6 windows per channel; the full-scale numbers
 from timebinrng import (
     StreamingMerger,
     extract,
-    extract_fragments,
     iter_simulate,
     merge_channels,
     preset,
@@ -39,11 +38,8 @@ print()
 
 # --- scenario (b): two channels, merged -----------------------------------
 models_b = preset("b")
-frags = [
-    extract_fragments(simulate(m, N_WINDOWS, SEED, channel_id=ch), 4)
-    for ch, m in enumerate(models_b)
-]
-merged = merge_channels(frags, "round-robin-block")
+streams_b = [simulate(m, N_WINDOWS, SEED, channel_id=ch) for ch, m in enumerate(models_b)]
+merged = merge_channels(streams_b, 4, "round-robin-block")
 rate_b = merged.stats.bits_emitted / N_WINDOWS
 print(f"(b) two lit channels merged round-robin by block: "
       f"{merged.stats.bits_emitted} bits -> {rate_b:.4f} bits/channel-window")

@@ -55,22 +55,14 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .extractor import (
-    BitFragment,
     BitOutput,
     BitPacker,
-    BlockOutcome,
     DetectionStream,
-    ExtractorConfig,
     ExtractStats,
-    FragmentStream,
     StreamingExtractor,
     StreamingMerger,
-    encode_block,
     extract,
-    extract_fragments,
     merge_channels,
-    pack_bits,
-    scan_blocks,
 )
 from .source_sim import (
     GENERATOR_TAG,

@@ -16,21 +16,11 @@ import numpy as np
 
 from .combinatorics import binomial
 from .errors import DomainError, UnsupportedCaseError
-from .extractor import DetectionStream, as_bit_array
+from .extractor import DetectionStream, as_bit_array, fold_words
 from .streamio import write_ascii_bits, write_meta
 
 MAX_WORD_BITS = 16
 _UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
-
-
-def _fold_words(bits: np.ndarray, width: int) -> np.ndarray:
-    """Non-overlapping MSB-first ``width``-bit words; partial tail dropped."""
-    n_words = bits.size // width
-    rows = bits[: n_words * width].reshape(n_words, width)
-    acc = rows[:, 0].astype(np.uint16)
-    for j in range(1, width):
-        acc = (acc << 1) | rows[:, j]
-    return acc
 
 
 def statistical_error_scale(word_bits: int, word_count: int) -> float:
@@ -64,7 +54,7 @@ def min_entropy(bits, word_bits: int = 8) -> MinEntropyReport:
         raise DomainError(
             f"need at least {word_bits} bits for {word_bits}-bit words, got {arr.size}"
         )
-    words = _fold_words(arr, word_bits)
+    words = fold_words(arr, word_bits)
     histogram = np.bincount(words, minlength=1 << word_bits)
     word_count = int(words.size)
     h_inf = -math.log2(histogram.max() / word_count)
@@ -120,10 +110,7 @@ def uniformity_matrix(stream: DetectionStream, block_len: int = 4) -> Uniformity
     n_blocks = windows.size // block_len
     if n_blocks < 2:
         raise DomainError("need at least two full blocks for pair statistics")
-    rows = windows[: n_blocks * block_len].reshape(n_blocks, block_len)
-    patterns = rows[:, 0].astype(np.uint16)
-    for j in range(1, block_len):
-        patterns = (patterns << 1) | rows[:, j]
+    patterns = fold_words(windows, block_len)
     size = 1 << block_len
     pattern_counts = np.bincount(patterns, minlength=size).astype(np.int64)
 

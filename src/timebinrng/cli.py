@@ -12,6 +12,7 @@ Exit codes: 0 success (and all requested property checks passed),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -188,60 +189,29 @@ def _cmd_simulate(args, argv: list[str]) -> int:
 # extract
 
 
-def _iter_input_chunks(path, chunk_windows: int):
+def _open_input(path, chunk_windows: int):
+    """Window count, window period (s; None for ASCII) and chunk iterator."""
     if streamio.is_tbd1(path):
-        yield from streamio.iter_stream_windows(path, chunk_windows)
-    else:
-        arr = streamio.parse_ascii_bits(Path(path).read_bytes(), source=str(path))
-        for i in range(0, max(arr.size, 1), chunk_windows):
-            chunk = arr[i : i + chunk_windows]
-            if chunk.size or i == 0:
-                yield chunk
-
-
-def _input_window_count(path) -> int:
-    if streamio.is_tbd1(path):
-        return streamio.read_stream_header(path)[0]
-    return int(streamio.parse_ascii_bits(Path(path).read_bytes(), source=str(path)).size)
-
-
-def _input_period(path) -> float | None:
-    if streamio.is_tbd1(path):
-        return streamio.read_stream_header(path)[1] * 1e-9
-    return None
+        count, period_ns, _ = streamio.read_stream_header(path)
+        return count, period_ns * 1e-9, streamio.iter_stream_windows(path, chunk_windows)
+    windows = streamio.read_ascii_bits(path)
+    chunks = (windows[i : i + chunk_windows] for i in range(0, windows.size, chunk_windows))
+    return windows.size, None, chunks
 
 
 def _cmd_extract(args, argv: list[str]) -> int:
     inputs = args.inputs
-    counts = [_input_window_count(p) for p in inputs]
-    if len(inputs) == 1:
-        extractor = StreamingExtractor(args.block_len)
-        for chunk in _iter_input_chunks(inputs[0], args.chunk_windows):
-            extractor.feed(chunk)
-        result = extractor.finish()
-    else:
-        if args.merge == "round-robin-block" and len(set(counts)) != 1:
-            raise DomainError(
-                "round-robin-block merging needs equal window counts per channel; "
-                f"got {counts}"
-            )
-        merger = StreamingMerger(args.block_len, len(inputs), args.merge)
-        iters = [_iter_input_chunks(p, args.chunk_windows) for p in inputs]
-        empty = np.zeros(0, dtype=np.uint8)
-        live = True
-        while live:
-            live = False
-            chunks = []
-            for it in iters:
-                chunk = next(it, None)
-                if chunk is None or chunk.size == 0:
-                    chunks.append(empty)
-                else:
-                    chunks.append(chunk)
-                    live = True
-            if live:
-                merger.feed(chunks)
-        result = merger.finish()
+    counts, periods, iters = zip(*(_open_input(p, args.chunk_windows) for p in inputs))
+    if args.merge == "round-robin-block" and len(set(counts)) != 1:
+        raise DomainError(
+            "round-robin-block merging needs equal window counts per channel; "
+            f"got {list(counts)}"
+        )
+    merger = StreamingMerger(args.block_len, len(inputs), args.merge)
+    empty = np.zeros(0, dtype=np.uint8)
+    for chunks in itertools.zip_longest(*iters, fillvalue=empty):
+        merger.feed(chunks)
+    result = merger.finish()
 
     streamio.write_bit_output(
         args.out,
@@ -271,7 +241,7 @@ def _cmd_extract(args, argv: list[str]) -> int:
             "bits_per_channel_window = "
             f"{stats.bits_emitted / windows_per_channel:.6f}"
         )
-    period = _input_period(inputs[0])
+    period = periods[0]
     if period and windows_per_channel:
         rate = stats.bits_emitted / (windows_per_channel * period)
         print(f"throughput_mbps = {rate / 1e6:.4f}")

@@ -17,24 +17,19 @@ position patterns are equally likely, which holds whenever the click
 probability is constant within one block.  Nothing else about the
 stream enters the output, so slow drift between blocks cannot bias it.
 
-Fragments and bytes are packed most-significant-bit first.
+Fragments and bytes are packed most-significant-bit first.  The tests
+check this codec against the brute-force encoder in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import (
-    MAX_BLOCK_LEN,
-    Combination,
-    binary_expansion,
-    binomial,
-    rank_combination,
-)
+from .combinatorics import MAX_BLOCK_LEN, binary_expansion, binomial
 from .errors import DomainError
 
 # largest block length served by the pattern lookup table; longer blocks
@@ -42,7 +37,6 @@ from .errors import DomainError
 _LUT_MAX = 16
 
 MERGE_POLICIES = ("per-channel", "round-robin-block")
-OUTPUT_FORMATS = ("packed", "ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -70,34 +64,6 @@ class DetectionStream:
 
     def __len__(self) -> int:
         return len(self.windows)
-
-
-@dataclass(frozen=True)
-class BlockOutcome:
-    """One block's avalanche-position pattern and its ordinal in the stream."""
-
-    combination: Combination
-    block_index: int
-
-
-@dataclass(frozen=True)
-class BitFragment:
-    """A ``bit_length``-wide unsigned value destined for the output stream."""
-
-    value: int
-    bit_length: int
-
-    def __post_init__(self):
-        if self.bit_length < 1:
-            raise DomainError(f"bit_length must be >= 1, got {self.bit_length}")
-        if not (0 <= self.value < (1 << self.bit_length)):
-            raise DomainError(
-                f"value {self.value} does not fit in {self.bit_length} bits"
-            )
-
-    @property
-    def bits(self) -> str:
-        return format(self.value, f"0{self.bit_length}b")
 
 
 @dataclass
@@ -132,34 +98,6 @@ class BitOutput:
         return "".join("1" if b else "0" for b in self.bit_array())
 
 
-@dataclass
-class ExtractorConfig:
-    block_len: int = 4
-    output_format: str = "packed"
-    merge_policy: str = "round-robin-block"
-
-    def __post_init__(self):
-        if not (2 <= self.block_len <= MAX_BLOCK_LEN):
-            raise DomainError(
-                f"block_len must be in [2, {MAX_BLOCK_LEN}], got {self.block_len}"
-            )
-        if self.output_format not in OUTPUT_FORMATS:
-            raise DomainError(f"unknown output format {self.output_format!r}")
-        if self.merge_policy not in MERGE_POLICIES:
-            raise DomainError(f"unknown merge policy {self.merge_policy!r}")
-
-
-@dataclass
-class FragmentStream:
-    """Column representation of one channel's fragments, in block order."""
-
-    values: np.ndarray  # int64 fragment values
-    lengths: np.ndarray  # uint8 fragment widths, all >= 1
-    block_index: np.ndarray  # int64 ordinal of the source block
-    channel_id: int
-    stats: ExtractStats
-
-
 # ---------------------------------------------------------------------------
 # bit-level helpers
 
@@ -191,6 +129,17 @@ def fragments_to_bit_array(values: np.ndarray, lengths: np.ndarray) -> np.ndarra
     shift = np.repeat(lengths, lengths) - 1 - offset
     bits = (np.repeat(values.astype(np.int64, copy=False), lengths) >> shift) & 1
     return bits.astype(np.uint8)
+
+
+def fold_words(bits: np.ndarray, width: int) -> np.ndarray:
+    """Non-overlapping MSB-first ``width``-bit words (width <= 16) of a 0/1
+    array; a partial tail is dropped."""
+    n_words = bits.size // width
+    rows = bits[: n_words * width].reshape(n_words, width)
+    acc = rows[:, 0].astype(np.uint16)
+    for j in range(1, width):
+        acc = (acc << 1) | rows[:, j]
+    return acc
 
 
 def unpack_bits(data: bytes, total_bits: int) -> np.ndarray:
@@ -229,58 +178,6 @@ class BitPacker:
         if self._tail.size:
             out += np.packbits(self._tail).tobytes()
         return out
-
-
-def pack_bits(fragments: Iterable[BitFragment]) -> tuple[bytes, int]:
-    """Concatenate fragments MSB-first into zero-padded bytes.
-
-    Returns the packed bytes and the true bit count.
-    """
-    frags = list(fragments)
-    if not frags:
-        return b"", 0
-    values = np.array([f.value for f in frags], dtype=np.int64)
-    lengths = np.array([f.bit_length for f in frags], dtype=np.int64)
-    bits = fragments_to_bit_array(values, lengths)
-    return np.packbits(bits).tobytes(), int(bits.size)
-
-
-# ---------------------------------------------------------------------------
-# scalar block path
-
-
-def scan_blocks(stream: DetectionStream, block_len: int) -> Iterator[BlockOutcome]:
-    """Yield consecutive non-overlapping blocks; a trailing partial block
-    is dropped."""
-    if not (2 <= block_len <= MAX_BLOCK_LEN):
-        raise DomainError(f"block_len must be in [2, {MAX_BLOCK_LEN}], got {block_len}")
-    windows = stream.windows
-    for b in range(len(windows) // block_len):
-        chunk = windows[b * block_len : (b + 1) * block_len]
-        positions = tuple(int(i) + 1 for i in np.nonzero(chunk)[0])
-        yield BlockOutcome(Combination(block_len, len(positions), positions), b)
-
-
-def encode_block(outcome: BlockOutcome) -> BitFragment | None:
-    """Encode one block; ``None`` means the block is discarded.
-
-    Discards happen for k = 0 and k = n (single-outcome blocks) and for
-    ranks landing in a width-0 subblock of the expansion of C(n, k).
-    """
-    c = outcome.combination
-    if c.k == 0 or c.k == c.n:
-        return None
-    f = rank_combination(c)
-    expansion = binary_expansion(c.n, c.k)
-    start = 0
-    for width in expansion.exponents:
-        size = 1 << width
-        if f < start + size:
-            if width == 0:
-                return None
-            return BitFragment(f - start, width)
-        start += size
-    raise AssertionError("rank exceeds C(n, k)")  # unreachable for valid outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +260,15 @@ class _BlockCodec:
         if n_blocks == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty.astype(np.uint8), empty, stats
-        rows = windows[: n_blocks * n].reshape(n_blocks, n)
         if self._lut is not None:
-            patterns = rows[:, 0].astype(np.uint16)
-            for j in range(1, n):
-                patterns = (patterns << 1) | rows[:, j]
+            patterns = fold_words(windows, n)
             lut_values, lut_lengths = self._lut
             lengths = lut_lengths[patterns].astype(np.int64)
             values = lut_values[patterns]
             stats.blocks_discarded_k0_kn = int(np.count_nonzero(lengths < 0))
             stats.fragments_discarded_alpha0 = int(np.count_nonzero(lengths == 0))
         else:
+            rows = windows[: n_blocks * n].reshape(n_blocks, n)
             lengths, values, kd, a0 = self._encode_rows(rows)
             stats.blocks_discarded_k0_kn = kd
             stats.fragments_discarded_alpha0 = a0
@@ -394,159 +289,97 @@ def _codec(block_len: int) -> _BlockCodec:
 # extraction drivers
 
 
-class StreamingExtractor:
-    """Chunked extraction with remainder carry.
+class StreamingMerger:
+    """Chunked extraction of 1..k channels into one bit output.
 
-    Feeding a stream in any chunking produces output bit-identical to a
-    single :func:`extract` call on the concatenated windows.
+    Every :meth:`feed` supplies one window chunk per channel.  Each
+    channel carries its trailing partial block into the next feed, so
+    the output does not depend on the chunking.  ``round-robin-block``
+    orders fragments by (block index, channel position) and needs every
+    feed to leave the channels at equal full-block counts;
+    ``per-channel`` concatenates whole channels in order.  With one
+    channel both policies give the plain block-order output.
     """
 
-    def __init__(self, block_len: int = 4):
+    def __init__(self, block_len: int, n_channels: int = 1, policy: str = "round-robin-block"):
+        if policy not in MERGE_POLICIES:
+            raise DomainError(f"unknown merge policy {policy!r}")
+        if n_channels < 1:
+            raise DomainError("need at least one channel")
         self._codec = _codec(block_len)
-        self._remainder = np.zeros(0, dtype=np.uint8)
-        self._packer = BitPacker()
-        self._blocks_done = 0
+        self._remainders = [np.zeros(0, dtype=np.uint8) for _ in range(n_channels)]
+        self._blocks_done = [0] * n_channels
+        # per-channel merging keeps one packer per channel until finish()
+        self._packers = [BitPacker() for _ in range(n_channels if policy == "per-channel" else 1)]
         self.stats = ExtractStats()
 
     @property
     def block_len(self) -> int:
         return self._codec.n
 
-    def feed(self, windows) -> None:
-        arr = as_bit_array(windows)
-        self.stats.windows_seen += int(arr.size)
-        if self._remainder.size:
-            arr = np.concatenate([self._remainder, arr])
-        n = self._codec.n
-        usable = (arr.size // n) * n
-        values, lengths, _, chunk_stats = self._codec.encode(
-            arr[:usable], base_block=self._blocks_done
-        )
-        self._blocks_done += chunk_stats.blocks_scanned
-        self.stats.blocks_scanned += chunk_stats.blocks_scanned
-        self.stats.blocks_discarded_k0_kn += chunk_stats.blocks_discarded_k0_kn
-        self.stats.fragments_discarded_alpha0 += chunk_stats.fragments_discarded_alpha0
-        self.stats.bits_emitted += chunk_stats.bits_emitted
-        self._packer.add_fragments(values, lengths)
-        self._remainder = arr[usable:].copy()
-
-    def finish(self) -> BitOutput:
-        """Close the stream; a pending partial block is dropped."""
-        return BitOutput(self._packer.getvalue(), self._packer.bit_length, self.stats)
-
-
-def extract(stream: DetectionStream, config: ExtractorConfig | None = None) -> BitOutput:
-    """One-shot extraction of a whole detection stream."""
-    config = config or ExtractorConfig()
-    ex = StreamingExtractor(config.block_len)
-    ex.feed(stream.windows)
-    return ex.finish()
-
-
-def extract_fragments(stream: DetectionStream, block_len: int = 4) -> FragmentStream:
-    """Extract one channel, keeping per-fragment columns for merging."""
-    codec = _codec(block_len)
-    arr = stream.windows
-    usable = (arr.size // block_len) * block_len
-    values, lengths, block_idx, stats = codec.encode(arr[:usable])
-    stats.windows_seen = int(arr.size)
-    return FragmentStream(values, lengths, block_idx, stream.channel_id, stats)
-
-
-def merge_channels(
-    channels: Sequence[FragmentStream], policy: str = "round-robin-block"
-) -> BitOutput:
-    """Combine per-channel fragment streams into one bit output.
-
-    ``round-robin-block`` orders fragments by (block index, channel id);
-    ``per-channel`` concatenates whole channels in the given order.
-    Both orderings are deterministic.
-    """
-    if policy not in MERGE_POLICIES:
-        raise DomainError(f"unknown merge policy {policy!r}")
-    if len(channels) == 0:
-        raise DomainError("merge_channels needs at least one channel")
-    values = np.concatenate([ch.values for ch in channels])
-    lengths = np.concatenate([ch.lengths for ch in channels])
-    if policy == "round-robin-block":
-        blocks = np.concatenate([ch.block_index for ch in channels])
-        chans = np.concatenate(
-            [np.full(ch.values.size, ch.channel_id, dtype=np.int64) for ch in channels]
-        )
-        order = np.lexsort((chans, blocks))
-        values = values[order]
-        lengths = lengths[order]
-    stats = ExtractStats()
-    for ch in channels:
-        stats.add(ch.stats)
-    bits = fragments_to_bit_array(values, lengths)
-    return BitOutput(np.packbits(bits).tobytes() if bits.size else b"", int(bits.size), stats)
-
-
-class StreamingMerger:
-    """Chunked multi-channel extraction and merge.
-
-    Every :meth:`feed` must supply one equal-length window chunk per
-    channel so the channels' block ranges stay aligned; the merged
-    output is then bit-identical to a one-shot :func:`merge_channels`
-    over the full streams.
-    """
-
-    def __init__(self, block_len: int, n_channels: int, policy: str = "round-robin-block"):
-        if policy not in MERGE_POLICIES:
-            raise DomainError(f"unknown merge policy {policy!r}")
-        if n_channels < 1:
-            raise DomainError("need at least one channel")
-        self._codec = _codec(block_len)
-        self._policy = policy
-        self._nch = n_channels
-        self._remainders = [np.zeros(0, dtype=np.uint8) for _ in range(n_channels)]
-        self._blocks_done = [0] * n_channels
-        self._packer = BitPacker()
-        # per-channel packers for the per-channel policy
-        self._channel_packers = [BitPacker() for _ in range(n_channels)]
-        self.stats = ExtractStats()
-
     def feed(self, per_channel_windows: Sequence[np.ndarray]) -> None:
-        if len(per_channel_windows) != self._nch:
+        if len(per_channel_windows) != len(self._remainders):
             raise DomainError(
-                f"expected {self._nch} channel chunks, got {len(per_channel_windows)}"
+                f"expected {len(self._remainders)} channel chunks, got {len(per_channel_windows)}"
             )
         n = self._codec.n
-        chunk_cols = []
+        fragments = []
         for ch, win in enumerate(per_channel_windows):
             arr = as_bit_array(win)
-            self.stats.windows_seen += int(arr.size)
+            fed = int(arr.size)
             if self._remainders[ch].size:
                 arr = np.concatenate([self._remainders[ch], arr])
             usable = (arr.size // n) * n
-            values, lengths, blocks, st = self._codec.encode(
+            values, lengths, blocks, stats = self._codec.encode(
                 arr[:usable], base_block=self._blocks_done[ch]
             )
-            self._blocks_done[ch] += st.blocks_scanned
-            self.stats.blocks_scanned += st.blocks_scanned
-            self.stats.blocks_discarded_k0_kn += st.blocks_discarded_k0_kn
-            self.stats.fragments_discarded_alpha0 += st.fragments_discarded_alpha0
-            self.stats.bits_emitted += st.bits_emitted
+            stats.windows_seen = fed
+            self.stats.add(stats)
+            self._blocks_done[ch] += stats.blocks_scanned
             self._remainders[ch] = arr[usable:].copy()
-            chunk_cols.append((values, lengths, blocks, ch))
-        if self._policy == "per-channel":
-            for values, lengths, _, ch in chunk_cols:
-                self._channel_packers[ch].add_fragments(values, lengths)
+            fragments.append((values, lengths, blocks))
+        if len(self._packers) > 1:
+            for packer, (values, lengths, _) in zip(self._packers, fragments):
+                packer.add_fragments(values, lengths)
+            return
+        if len(fragments) == 1:
+            self._packers[0].add_fragments(*fragments[0][:2])
             return
         if min(self._blocks_done) != max(self._blocks_done):
-            raise DomainError("channel chunks must cover equal window counts")
-        values = np.concatenate([c[0] for c in chunk_cols])
-        lengths = np.concatenate([c[1] for c in chunk_cols])
-        blocks = np.concatenate([c[2] for c in chunk_cols])
-        chans = np.concatenate(
-            [np.full(c[0].size, c[3], dtype=np.int64) for c in chunk_cols]
-        )
-        order = np.lexsort((chans, blocks))
-        self._packer.add_fragments(values[order], lengths[order])
+            raise DomainError("channel chunks must cover equal full-block counts")
+        values, lengths, blocks = (np.concatenate(col) for col in zip(*fragments))
+        # fragments arrive in channel order, so a stable sort on block index
+        # yields (block, channel) order
+        order = np.argsort(blocks, kind="stable")
+        self._packers[0].add_fragments(values[order], lengths[order])
 
     def finish(self) -> BitOutput:
-        if self._policy == "per-channel":
-            for p in self._channel_packers:
-                self._packer.add(unpack_bits(p.getvalue(), p.bit_length))
-        return BitOutput(self._packer.getvalue(), self._packer.bit_length, self.stats)
+        """Close the stream; pending partial blocks are dropped."""
+        packer, *rest = self._packers
+        for p in rest:
+            packer.add(unpack_bits(p.getvalue(), p.bit_length))
+        return BitOutput(packer.getvalue(), packer.bit_length, self.stats)
+
+
+class StreamingExtractor(StreamingMerger):
+    """One-channel :class:`StreamingMerger` fed bare window arrays."""
+
+    def __init__(self, block_len: int = 4):
+        super().__init__(block_len)
+
+    def feed(self, windows) -> None:
+        super().feed([windows])
+
+
+def merge_channels(
+    streams: Sequence[DetectionStream], block_len: int = 4, policy: str = "round-robin-block"
+) -> BitOutput:
+    """One-shot extraction and merge of whole streams; see :class:`StreamingMerger`."""
+    merger = StreamingMerger(block_len, len(streams), policy)
+    merger.feed([s.windows for s in streams])
+    return merger.finish()
+
+
+def extract(stream: DetectionStream, block_len: int = 4) -> BitOutput:
+    """One-shot extraction of a whole detection stream."""
+    return merge_channels([stream], block_len)

@@ -16,6 +16,7 @@ count in an adjacent ``<name>.meta.json`` sidecar.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Iterator
@@ -94,16 +95,32 @@ def write_stream(path, stream: DetectionStream) -> None:
 
 
 def read_stream_header(path) -> tuple[int, int, int]:
-    """Return (window_count, window_period_ns, channel_id)."""
+    """Return (window_count, window_period_ns, channel_id).
+
+    The file must hold exactly the header's window count, zero padded;
+    a writer that never reached ``close()`` leaves a count of 0 before a
+    nonempty payload, which fails here.
+    """
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
-    if len(head) < HEADER_SIZE:
-        raise StreamFormatError(f"{path}: truncated header", offset=len(head))
-    magic, count, period_ns, channel = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise StreamFormatError(f"{path}: bad magic {magic!r}", offset=0)
-    if period_ns == 0:
-        raise StreamFormatError(f"{path}: window period must be nonzero", offset=16)
+        if len(head) < HEADER_SIZE:
+            raise StreamFormatError(f"{path}: truncated header", offset=len(head))
+        magic, count, period_ns, channel = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise StreamFormatError(f"{path}: bad magic {magic!r}", offset=0)
+        if period_ns == 0:
+            raise StreamFormatError(f"{path}: window period must be nonzero", offset=16)
+        size = os.fstat(fh.fileno()).st_size
+        expected = HEADER_SIZE + (count + 7) // 8
+        if size != expected:
+            raise StreamFormatError(
+                f"{path}: {count} windows need {expected} bytes, file has {size}",
+                offset=min(size, expected),
+            )
+        if count % 8:
+            fh.seek(expected - 1)
+            if fh.read(1)[0] & (0xFF >> (count % 8)):
+                raise StreamFormatError(f"{path}: nonzero padding bits", offset=expected - 1)
     return count, period_ns, channel
 
 

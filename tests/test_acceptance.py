@@ -14,7 +14,6 @@ import pytest
 from timebinrng import (
     Combination,
     DetectionStream,
-    ExtractorConfig,
     ModulationProfile,
     SourceModel,
     StreamingExtractor,
@@ -24,7 +23,6 @@ from timebinrng import (
     binomial,
     block_entropy_rate,
     crossing_points,
-    encode_block,
     export_nist,
     extract,
     iter_simulate,
@@ -41,7 +39,6 @@ from timebinrng import (
     verify_optimal_p,
 )
 from timebinrng import streamio
-from timebinrng.extractor import BlockOutcome
 
 from oracles import all_combinations, all_patterns, bits_of_fragment, naive_encode
 
@@ -49,6 +46,14 @@ SEED_A, SEED_B, SEED_C, SEED_U = 1001, 1002, 1003, 1004
 
 RATE_CHECKPOINT = 100_000_000  # exactly five modulation periods
 TOTAL_WINDOWS_A = 610_000_000  # enough bits for 1e5 words/bin at d = 8
+
+
+def shipped_encode(n, pattern):
+    """The shipped codec on one block: (value, width), or None if discarded."""
+    out = extract(DetectionStream(np.array(pattern, dtype=np.uint8)), n)
+    if out.total_bits == 0:
+        return None
+    return int("".join(map(str, out.bit_array())), 2), out.total_bits
 
 
 def report(label: str, ok: bool, detail: str) -> None:
@@ -145,16 +150,11 @@ def test_criterion_3_extractor_oracle():
                 assert unrank_combination(n, k, f).positions == pos
             assert ranks == set(range(binomial(n, k)))
         for pattern in all_patterns(n):
-            positions = tuple(i + 1 for i, b in enumerate(pattern) if b)
-            got = encode_block(BlockOutcome(Combination(n, len(positions), positions), 0))
-            expected = naive_encode(n, pattern)
-            assert (got is None and expected is None) or (
-                (got.value, got.bit_length) == expected
-            ), (n, pattern)
+            assert shipped_encode(n, pattern) == naive_encode(n, pattern), (n, pattern)
             checked += 1
     # block length 4: the two k-discarded patterns are exactly all-0 and all-1
     all16 = np.concatenate([np.array(p, dtype=np.uint8) for p in all_patterns(4)])
-    stats = extract(DetectionStream(all16), ExtractorConfig(4)).stats
+    stats = extract(DetectionStream(all16), 4).stats
     ok = stats.blocks_discarded_k0_kn == 2
     report(
         "criterion 3 (brute-force oracle)",
@@ -170,12 +170,13 @@ def test_criterion_4_exact_unbiasedness():
         for k in range(1, n):
             tallies = {}
             for pos in all_combinations(n, k):
-                frag = encode_block(BlockOutcome(Combination(n, k, pos), 0))
+                frag = shipped_encode(n, [int(i in pos) for i in range(1, n + 1)])
                 if frag is None:
                     continue
-                for b, bit in enumerate(bits_of_fragment(frag.value, frag.bit_length)):
-                    ones, total = tallies.get((frag.bit_length, b), (0, 0))
-                    tallies[(frag.bit_length, b)] = (ones + bit, total + 1)
+                value, width = frag
+                for b, bit in enumerate(bits_of_fragment(value, width)):
+                    ones, total = tallies.get((width, b), (0, 0))
+                    tallies[(width, b)] = (ones + bit, total + 1)
             for (width, b), (ones, total) in tallies.items():
                 assert ones * 2 == total, (n, k, width, b)
             classes += len(tallies)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from timebinrng import (
     DomainError,
-    ExtractorConfig,
     ModulationProfile,
     SourceModel,
     binary_rate,
@@ -89,7 +88,7 @@ class TestBinaryRate:
         for (n, p), seed in cases.items():
             model = SourceModel(mean_photons=-math.log(1.0 - p))
             stream = simulate(model, n_windows, seed=seed)
-            out = extract(stream, ExtractorConfig(block_len=n))
+            out = extract(stream, n)
             rate = out.stats.bits_emitted / n_windows
             sigma = _bits_per_window_sigma(n, p, n_windows)
             assert abs(rate - binary_rate(n, p)) < 3 * sigma, (n, p)

@@ -3,82 +3,67 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timebinrng import (
-    BitFragment,
-    Combination,
+    BitPacker,
     DetectionStream,
     DomainError,
-    ExtractorConfig,
     StreamingExtractor,
     StreamingMerger,
     binary_rate,
-    encode_block,
     extract,
-    extract_fragments,
     merge_channels,
-    pack_bits,
-    scan_blocks,
     simulate,
     SourceModel,
 )
-from timebinrng.extractor import BlockOutcome, fragments_to_bit_array
+from timebinrng.extractor import fragments_to_bit_array
 
-from oracles import all_patterns, naive_encode, pack_reference
+from oracles import all_combinations, all_patterns, bits_of_fragment, naive_encode, pack_reference
 
 
 def stream(bits, **kw):
     return DetectionStream(np.array(bits, dtype=np.uint8), **kw)
 
 
-def outcome(n, positions, index=0):
-    return BlockOutcome(Combination(n, len(positions), tuple(positions)), index)
+def encode(n, positions):
+    """The shipped codec on one block: (value, width), or None if discarded."""
+    out = extract(stream([int(i + 1 in positions) for i in range(n)]), n)
+    if out.total_bits == 0:
+        return None
+    return int("".join(map(str, out.bit_array())), 2), out.total_bits
 
 
-class TestScanBlocks:
-    def test_two_blocks(self):
-        blocks = list(scan_blocks(stream([1, 0, 0, 0, 1, 1, 0, 0]), 4))
-        assert len(blocks) == 2
-        assert blocks[0].combination.positions == (1,)
-        assert blocks[1].combination.positions == (1, 2)
-        assert [b.block_index for b in blocks] == [0, 1]
-
-    def test_trailing_partial_block_dropped(self):
-        blocks = list(scan_blocks(stream([1, 0, 0, 0, 1]), 4))
-        assert len(blocks) == 1
-
-    def test_all_zero_block_has_k_zero(self):
-        (block,) = scan_blocks(stream([0, 0, 0, 0]), 4)
-        assert block.combination.k == 0
+def pack(frags, cuts=()):
+    """Pack (value, width) fragments with one BitPacker.add_fragments call
+    per piece between the sorted cut positions."""
+    values = np.array([v for v, _ in frags], dtype=np.int64)
+    lengths = np.array([w for _, w in frags], dtype=np.uint8)
+    packer = BitPacker()
+    bounds = [0, *cuts, len(frags)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        packer.add_fragments(values[lo:hi], lengths[lo:hi])
+    return packer.getvalue(), packer.bit_length
 
 
 class TestEncodeBlock:
     def test_rank_five_lands_in_second_subblock(self):
-        frag = encode_block(outcome(4, [1, 2]))  # rank 5 of C(4,2)=4+2
-        assert (frag.value, frag.bit_length) == (1, 1)
-        assert frag.bits == "1"
+        assert encode(4, [1, 2]) == (1, 1)  # rank 5 of C(4,2)=4+2
 
     def test_rank_three_encodes_directly(self):
-        frag = encode_block(outcome(4, [1]))  # rank 3 < 2^2
-        assert (frag.value, frag.bit_length) == (3, 2)
-        assert frag.bits == "11"
+        assert encode(4, [1]) == (3, 2)  # rank 3 < 2^2
 
     def test_width_zero_subblock_discards(self):
         # C(5,1) = 4 + 1; the last pattern falls into the width-0 subblock
-        assert encode_block(outcome(5, [1])) is None
+        assert encode(5, [1]) is None
+        assert extract(stream([1, 0, 0, 0, 0]), 5).stats.fragments_discarded_alpha0 == 1
 
     def test_k_zero_and_k_full_discard(self):
-        assert encode_block(outcome(4, [])) is None
-        assert encode_block(outcome(4, [1, 2, 3, 4])) is None
+        assert encode(4, []) is None
+        assert encode(4, [1, 2, 3, 4]) is None
 
     def test_matches_naive_oracle_exhaustively(self):
         for n in range(2, 11):
             for pattern in all_patterns(n):
                 positions = [i + 1 for i, b in enumerate(pattern) if b]
-                got = encode_block(outcome(n, positions))
-                expected = naive_encode(n, pattern)
-                if expected is None:
-                    assert got is None
-                else:
-                    assert (got.value, got.bit_length) == expected
+                assert encode(n, positions) == naive_encode(n, pattern)
 
 
 class TestConditionalUniformity:
@@ -88,40 +73,43 @@ class TestConditionalUniformity:
         for n in range(2, 11):
             for k in range(1, n):
                 by_width = {}
-                from oracles import all_combinations
-
                 for pos in all_combinations(n, k):
-                    frag = encode_block(outcome(n, list(pos)))
+                    frag = encode(n, pos)
                     if frag is not None:
-                        by_width.setdefault(frag.bit_length, []).append(frag.value)
+                        by_width.setdefault(frag[1], []).append(frag[0])
                 for width, values in by_width.items():
                     assert sorted(values) == list(range(1 << width))
 
     def test_bit_balance_is_exact(self):
         # 0s and 1s balance exactly at every (width, bit position) class
-        from oracles import all_combinations, bits_of_fragment
-
         for n in range(2, 11):
             for k in range(1, n):
                 tallies = {}
                 for pos in all_combinations(n, k):
-                    frag = encode_block(outcome(n, list(pos)))
+                    frag = encode(n, pos)
                     if frag is None:
                         continue
-                    for b, bit in enumerate(bits_of_fragment(frag.value, frag.bit_length)):
-                        ones, total = tallies.get((frag.bit_length, b), (0, 0))
-                        tallies[(frag.bit_length, b)] = (ones + bit, total + 1)
+                    value, width = frag
+                    for b, bit in enumerate(bits_of_fragment(value, width)):
+                        ones, total = tallies.get((width, b), (0, 0))
+                        tallies[(width, b)] = (ones + bit, total + 1)
                 for (width, b), (ones, total) in tallies.items():
                     assert ones * 2 == total
 
 
 class TestExtract:
     def test_composes_block_fragments(self):
-        out = extract(stream([1, 0, 0, 0, 1, 1, 0, 0]), ExtractorConfig(block_len=4))
+        out = extract(stream([1, 0, 0, 0, 1, 1, 0, 0]), 4)
         assert out.ascii_bits() == "111"
         assert out.stats.blocks_scanned == 2
         assert out.stats.bits_emitted == 3
         assert out.total_bits == 3
+
+    def test_trailing_partial_block_dropped(self):
+        out = extract(stream([1, 0, 0, 0, 1]), 4)
+        assert out.stats.windows_seen == 5
+        assert out.stats.blocks_scanned == 1
+        assert out.ascii_bits() == "11"
 
     def test_empty_stream(self):
         out = extract(stream([]))
@@ -130,28 +118,25 @@ class TestExtract:
         assert out.stats.blocks_scanned == 0
 
     def test_all_zero_stream_discards_everything(self):
-        out = extract(stream([0] * 40), ExtractorConfig(block_len=4))
+        out = extract(stream([0] * 40), 4)
         assert out.total_bits == 0
         assert out.stats.blocks_discarded_k0_kn == 10
 
     def test_matches_scalar_path_exhaustively(self):
-        # the vectorized codec and the scalar encoder agree block by block
+        # every pattern of every n in one stream: the bytes equal the
+        # brute-force fragments packed by string concatenation
         for n in range(2, 11):
-            for pattern in all_patterns(n):
-                arr = np.array(pattern, dtype=np.uint8)
-                out = extract(DetectionStream(arr), ExtractorConfig(block_len=n))
-                frag = encode_block(outcome(n, [i + 1 for i, b in enumerate(pattern) if b]))
-                if frag is None:
-                    assert out.total_bits == 0
-                else:
-                    assert out.total_bits == frag.bit_length
-                    assert out.ascii_bits() == frag.bits
+            patterns = list(all_patterns(n))
+            windows = np.array(patterns, dtype=np.uint8).ravel()
+            frags = [f for f in (naive_encode(n, p) for p in patterns) if f is not None]
+            out = extract(DetectionStream(windows), n)
+            assert (out.data, out.total_bits) == pack_reference(frags)
 
     def test_monte_carlo_rate_iid_half(self):
         n_windows = 1_000_000
         model = SourceModel(mean_photons=np.log(2.0))  # p = 1/2
         st_ = simulate(model, n_windows, seed=20260808)
-        out = extract(st_, ExtractorConfig(block_len=4))
+        out = extract(st_, 4)
         rate = out.stats.bits_emitted / n_windows
         # exact per-block variance of emitted bits at p = 1/2:
         # E[B] = 26/16, E[B^2] = 50/16
@@ -185,7 +170,7 @@ class TestStreamingExtractor:
     @settings(max_examples=60)
     def test_chunking_never_changes_output(self, bits, data):
         arr = np.array(bits, dtype=np.uint8)
-        one_shot = extract(DetectionStream(arr) if bits else stream([]), ExtractorConfig(3))
+        one_shot = extract(DetectionStream(arr) if bits else stream([]), 3)
         ex = StreamingExtractor(3)
         i = 0
         while i < len(bits):
@@ -205,75 +190,77 @@ class TestStreamingExtractor:
         assert out.ascii_bits() == "111"
 
 
+fragment_lists = st.lists(
+    st.integers(1, 12).flatmap(lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))),
+    max_size=64,
+)
+
+
 class TestPackBits:
     def test_two_fragments(self):
-        data, total = pack_bits([BitFragment(3, 2), BitFragment(1, 1)])
-        assert data == bytes([0b1110_0000])
-        assert total == 3
+        assert pack([(3, 2), (1, 1)]) == (bytes([0b1110_0000]), 3)
 
     def test_empty(self):
-        assert pack_bits([]) == (b"", 0)
+        assert pack([]) == (b"", 0)
 
     def test_three_bit_value(self):
-        data, total = pack_bits([BitFragment(5, 3)])
-        assert data == bytes([0b1010_0000])
-        assert total == 3
+        assert pack([(5, 3)]) == (bytes([0b1010_0000]), 3)
 
-    @given(
-        st.lists(
-            st.integers(1, 12).flatmap(
-                lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
-            ),
-            max_size=64,
-        )
-    )
-    def test_matches_string_reference(self, frags):
-        data, total = pack_bits([BitFragment(v, w) for v, w in frags])
-        assert (data, total) == pack_reference(frags)
-
-    def test_fragment_validation(self):
-        with pytest.raises(DomainError):
-            BitFragment(4, 2)
-        with pytest.raises(DomainError):
-            BitFragment(0, 0)
+    @given(fragment_lists, st.data())
+    def test_matches_string_reference(self, frags, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(frags)), max_size=8)))
+        assert pack(frags, cuts) == pack_reference(frags)
 
 
 class TestMergeChannels:
     def _two_channels(self):
         a = stream([1, 0, 0, 0, 1, 1, 0, 0], channel_id=0)
         b = stream([0, 1, 0, 0, 1, 0, 1, 0], channel_id=1)
-        return extract_fragments(a, 4), extract_fragments(b, 4)
+        return [a, b]
 
     def test_round_robin_interleaves_by_block(self):
-        fa, fb = self._two_channels()
-        merged = merge_channels([fa, fb], "round-robin-block")
+        merged = merge_channels(self._two_channels(), 4, "round-robin-block")
         a_frags = ["11", "1"]  # blocks 0, 1 of channel 0
         b_frags = ["10", "0"]  # blocks 0, 1 of channel 1
         assert merged.ascii_bits() == a_frags[0] + b_frags[0] + a_frags[1] + b_frags[1]
 
+    def test_round_robin_orders_by_list_position(self):
+        # channel ids play no part: the order of the list decides
+        a, b = self._two_channels()
+        a.channel_id, b.channel_id = 1, 0
+        assert merge_channels([a, b], 4).ascii_bits() == "11" + "10" + "1" + "0"
+
+    def test_round_robin_rejects_unequal_block_counts(self):
+        a, b = self._two_channels()
+        with pytest.raises(DomainError):
+            merge_channels([a, stream(b.windows[:7])], 4, "round-robin-block")
+        # a trailing partial block does not count
+        merged = merge_channels([a, stream(list(b.windows) + [1])], 4)
+        assert merged.ascii_bits() == "11" + "10" + "1" + "0"
+
     def test_single_channel_identity(self):
         s = stream([1, 0, 0, 0, 1, 1, 0, 0])
-        merged = merge_channels([extract_fragments(s, 4)], "round-robin-block")
-        assert merged.data == extract(s).data
-        assert merged.total_bits == extract(s).total_bits
+        for policy in ("round-robin-block", "per-channel"):
+            merged = merge_channels([s], 4, policy)
+            assert merged.data == extract(s).data
+            assert merged.total_bits == extract(s).total_bits
 
     def test_per_channel_concatenates(self):
-        fa, fb = self._two_channels()
-        merged = merge_channels([fa, fb], "per-channel")
+        merged = merge_channels(self._two_channels(), 4, "per-channel")
         assert merged.ascii_bits() == "11" + "1" + "10" + "0"
 
     def test_two_channels_double_the_yield(self):
         model = SourceModel(mean_photons=np.log(2.0))
         n = 400_000
-        single = extract_fragments(simulate(model, n, seed=1, channel_id=0), 4)
-        other = extract_fragments(simulate(model, n, seed=1, channel_id=1), 4)
-        merged = merge_channels([single, other], "round-robin-block")
-        ratio = merged.stats.bits_emitted / single.stats.bits_emitted
+        single = simulate(model, n, seed=1, channel_id=0)
+        other = simulate(model, n, seed=1, channel_id=1)
+        merged = merge_channels([single, other], 4, "round-robin-block")
+        ratio = merged.stats.bits_emitted / extract(single).stats.bits_emitted
         assert abs(ratio - 2.0) < 0.02
 
     def test_needs_a_channel(self):
         with pytest.raises(DomainError):
-            merge_channels([], "per-channel")
+            merge_channels([], 4, "per-channel")
 
 
 class TestStreamingMerger:
@@ -281,19 +268,14 @@ class TestStreamingMerger:
         rng = np.random.default_rng(3)
         chans = [(rng.random(1003) < 0.4).astype(np.uint8) for _ in range(3)]
         for policy in ("round-robin-block", "per-channel"):
-            one_shot = merge_channels(
-                [
-                    extract_fragments(DetectionStream(w, channel_id=i), 4)
-                    for i, w in enumerate(chans)
-                ],
-                policy,
-            )
+            one_shot = merge_channels([DetectionStream(w) for w in chans], 4, policy)
             merger = StreamingMerger(4, 3, policy)
             for lo in range(0, 1003, 97):
                 merger.feed([w[lo : lo + 97] for w in chans])
             streamed = merger.finish()
             assert streamed.data == one_shot.data
             assert streamed.total_bits == one_shot.total_bits
+            assert streamed.stats == one_shot.stats
 
 
 class TestLargeBlocks:
@@ -303,19 +285,16 @@ class TestLargeBlocks:
     def test_vectorized_matches_scalar(self, n):
         rng = np.random.default_rng(n)
         windows = (rng.random(n * 50) < 0.5).astype(np.uint8)
-        out = extract(DetectionStream(windows), ExtractorConfig(block_len=n))
-        expected = []
-        for block in scan_blocks(DetectionStream(windows), n):
-            frag = encode_block(block)
-            if frag is not None:
-                expected.append(frag.bits)
-        assert out.ascii_bits() == "".join(expected)
+        out = extract(DetectionStream(windows), n)
+        blocks = windows.reshape(50, n).tolist()
+        frags = [f for f in (naive_encode(n, b) for b in blocks) if f is not None]
+        assert (out.data, out.total_bits) == pack_reference(frags)
 
     def test_yield_approaches_entropy_at_large_blocks(self):
         rng = np.random.default_rng(99)
         n_windows = 64 * 40_000
         windows = (rng.random(n_windows) < 0.5).astype(np.uint8)
-        out = extract(DetectionStream(windows), ExtractorConfig(block_len=64))
+        out = extract(DetectionStream(windows), 64)
         rate = out.stats.bits_emitted / n_windows
         assert abs(rate - binary_rate(64, 0.5)) < 0.01
 

@@ -66,6 +66,36 @@ class TestTbd1:
             streamio.read_stream(path)
         assert err.value.offset == len(data) - 10
 
+    def test_unclosed_writer_is_rejected(self, tmp_path):
+        # a writer that never reached close() leaves count 0 before its payload
+        path = tmp_path / "crashed.tbd1"
+        streamio.write_stream(path, random_stream(1000))
+        data = bytearray(path.read_bytes())
+        data[8:16] = bytes(8)
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamFormatError) as err:
+            streamio.read_stream_header(path)
+        assert err.value.offset == 32
+
+    def test_trailing_bytes_name_offset(self, tmp_path):
+        path = tmp_path / "long.tbd1"
+        streamio.write_stream(path, random_stream(1000))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(StreamFormatError) as err:
+            list(streamio.iter_stream_windows(path))
+        assert err.value.offset == size
+
+    def test_nonzero_padding_names_offset(self, tmp_path):
+        path = tmp_path / "pad.tbd1"
+        streamio.write_stream(path, random_stream(1001))  # 1 window in the last byte
+        data = bytearray(path.read_bytes())
+        data[-1] |= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(StreamFormatError) as err:
+            streamio.read_stream(path)
+        assert err.value.offset == len(data) - 1
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "tiny.tbd1"
         path.write_bytes(b"TIMEBIN1\x01")
