@@ -17,7 +17,7 @@ import numpy as np
 from .combinatorics import binomial
 from .errors import DomainError, UnsupportedCaseError
 from .extractor import DetectionStream, as_bit_array, fold_words
-from .streamio import write_ascii_bits, write_meta
+from .streamio import atomic_open, write_ascii_bits, write_meta
 
 MAX_WORD_BITS = 16
 _UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
@@ -282,7 +282,8 @@ def export_nist(bits, path, fmt: str = "ascii") -> Path:
     if fmt == "ascii":
         write_ascii_bits(path, arr)
     elif fmt == "packed":
-        path.write_bytes(np.packbits(arr).tobytes() if arr.size else b"")
+        with atomic_open(path) as fh:
+            fh.write(np.packbits(arr).tobytes())
         write_meta(path, {"format": "packed-bits-msb-first", "total_bits": int(arr.size)})
     else:
         raise DomainError(f"unknown export format {fmt!r}")

@@ -31,7 +31,7 @@ from .efficiency import (
     shannon_binary,
     time_average_binary_rate,
 )
-from .errors import DomainError, StreamFormatError, TimebinError
+from .errors import DomainError, TimebinError
 from .extractor import (
     MERGE_POLICIES,
     DetectionStream,
@@ -95,9 +95,7 @@ def _write_manifest(primary_out: str, argv: list[str], command: str, outputs: li
         "generator": GENERATOR_TAG,
         "outputs": outputs,
     }
-    Path(str(primary_out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    streamio.write_json(str(primary_out) + ".manifest.json", manifest)
 
 
 def _parse_float_pi(text: str) -> float:
@@ -160,11 +158,9 @@ def _cmd_simulate(args, argv: list[str]) -> int:
                 for chunk in chunks:
                     writer.write(chunk)
         else:
-            with open(out_path, "wb") as fh:
+            with streamio.atomic_open(out_path) as fh:
                 for chunk in chunks:
-                    fh.write(
-                        np.where(chunk, ord("1"), ord("0")).astype(np.uint8).tobytes()
-                    )
+                    fh.write(np.where(chunk, ord("1"), ord("0")).astype(np.uint8).tobytes())
         streamio.write_meta(
             out_path,
             {
@@ -230,20 +226,13 @@ def _cmd_extract(args, argv: list[str]) -> int:
     stats = result.stats
     windows_per_channel = max(counts)
     print(f"channels = {len(inputs)}")
-    print(f"windows_seen = {stats.windows_seen}")
-    print(f"blocks_scanned = {stats.blocks_scanned}")
-    print(f"blocks_discarded_k0_kn = {stats.blocks_discarded_k0_kn}")
-    print(f"fragments_discarded_alpha0 = {stats.fragments_discarded_alpha0}")
-    print(f"bits_emitted = {stats.bits_emitted}")
+    for name, value in asdict(stats).items():
+        print(f"{name} = {value}")
     if stats.windows_seen:
         print(f"bits_per_window = {stats.bits_emitted / stats.windows_seen:.6f}")
-        print(
-            "bits_per_channel_window = "
-            f"{stats.bits_emitted / windows_per_channel:.6f}"
-        )
-    period = periods[0]
-    if period and windows_per_channel:
-        rate = stats.bits_emitted / (windows_per_channel * period)
+        print(f"bits_per_channel_window = {stats.bits_emitted / windows_per_channel:.6f}")
+    if periods[0] and windows_per_channel:
+        rate = stats.bits_emitted / (windows_per_channel * periods[0])
         print(f"throughput_mbps = {rate / 1e6:.4f}")
     print(f"wrote {args.out}")
     return 0
@@ -337,7 +326,7 @@ def _cmd_analyze(args, argv: list[str]) -> int:
                     f"lag1_z = {rep.lag1_z:.4f}",
                     f"pass = {str(ok).lower()}",
                 ]
-        except TimebinError as exc:
+        except DomainError as exc:  # format errors end the run with exit 2
             lines.append(f"error = {exc}")
             ok = False
         all_pass = all_pass and ok
@@ -346,7 +335,8 @@ def _cmd_analyze(args, argv: list[str]) -> int:
     report = "\n".join(lines).rstrip() + "\n"
     sys.stdout.write(report)
     if args.out:
-        Path(args.out).write_text(report)
+        with streamio.atomic_open(args.out) as fh:
+            fh.write(report.encode())
         _write_manifest(args.out, argv, "analyze", [args.out])
     return 0 if all_pass else 1
 
@@ -499,13 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except StreamFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TimebinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (TimebinError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,31 +13,20 @@ fixed-width integer arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoEntropyError
 
 MAX_BLOCK_LEN = 64
 
-_U64_MAX = (1 << 64) - 1
-
 
 def binomial(n: int, k: int) -> int:
-    """Exact C(n, k) for 0 <= k <= n <= 64.
-
-    Multiplicative formula with interleaved division; every
-    intermediate product is exact and the result fits in 64 unsigned
-    bits (C(64, 32) ~ 1.8e18).
-    """
+    """Exact C(n, k) for 0 <= k <= n <= 64; it fits in 64 unsigned bits
+    (C(64, 32) ~ 1.8e18)."""
     if not (0 <= k <= n <= MAX_BLOCK_LEN):
         raise DomainError(f"binomial requires 0 <= k <= n <= {MAX_BLOCK_LEN}, got n={n} k={k}")
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        # (result * (n - k + i)) is always divisible by i at this step
-        result = result * (n - k + i) // i
-    assert result <= _U64_MAX
-    return result
+    return math.comb(n, k)
 
 
 def _choose(n: int, k: int) -> int:

@@ -1,24 +1,22 @@
 """Detection-stream to random-bit extraction.
 
 The stream of gate-window outcomes is cut into consecutive,
-non-overlapping blocks of ``block_len`` windows.  Each block is reduced
-to the positions of its avalanches, ranked to an integer f in
-[0, C(n,k)), and f is emitted as a fixed-width bit fragment chosen by
-the power-of-two subblock (Elias) expansion of C(n, k):
-
-* k = 0 or k = n            -> no fragment (single-outcome block),
-* f below the leading power -> f as a ``leading``-bit fragment,
-* otherwise                 -> offset of f inside its subblock, at that
-                               subblock's width; width-0 subblocks are
-                               dropped.
+non-overlapping blocks of n = ``block_len`` windows.  A block with k
+avalanches at 1-based positions p_1 < ... < p_k is ranked to
+f = sum_j C(n - p_j, k - j + 1) in [0, C(n, k)), and f is emitted
+through the power-of-two subblock (Elias) expansion of C(n, k): a rank
+in the subblock of size 2^w becomes its offset there, a w-bit fragment.
+Blocks with k = 0 or k = n and width-0 subblocks emit nothing.
 
 Every fragment value is uniform over its width whenever all C(n,k)
 position patterns are equally likely, which holds whenever the click
 probability is constant within one block.  Nothing else about the
 stream enters the output, so slow drift between blocks cannot bias it.
 
-Fragments and bytes are packed most-significant-bit first.  The tests
-check this codec against the brute-force encoder in ``tests/oracles.py``.
+One table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`).
+Fragments are ORed into big-endian 64-bit words, most significant bit
+first.  The tests check this codec against the brute-force encoder in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,12 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import MAX_BLOCK_LEN, binary_expansion, binomial
+from .combinatorics import MAX_BLOCK_LEN
 from .errors import DomainError
-
-# largest block length served by the pattern lookup table; longer blocks
-# use the per-k ranking path
-_LUT_MAX = 16
 
 MERGE_POLICIES = ("per-channel", "round-robin-block")
 
@@ -75,11 +69,8 @@ class ExtractStats:
     bits_emitted: int = 0
 
     def add(self, other: "ExtractStats") -> None:
-        self.windows_seen += other.windows_seen
-        self.blocks_scanned += other.blocks_scanned
-        self.blocks_discarded_k0_kn += other.blocks_discarded_k0_kn
-        self.fragments_discarded_alpha0 += other.fragments_discarded_alpha0
-        self.bits_emitted += other.bits_emitted
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 @dataclass
@@ -113,22 +104,14 @@ def as_bit_array(windows) -> np.ndarray:
         return arr
     if arr.dtype == np.bool_:
         return arr.view(np.uint8)
-    out = (arr != 0).astype(np.uint8)
-    return out
+    return (arr != 0).astype(np.uint8)
 
 
 def fragments_to_bit_array(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Expand fragments to their MSB-first bit sequence, concatenated."""
-    lengths = lengths.astype(np.int64, copy=False)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    offset = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-    shift = np.repeat(lengths, lengths) - 1 - offset
-    bits = (np.repeat(values.astype(np.int64, copy=False), lengths) >> shift) & 1
-    return bits.astype(np.uint8)
+    packer = BitPacker()
+    packer.add(values, lengths)
+    return unpack_bits(packer.getvalue(), packer.bit_length)
 
 
 def fold_words(bits: np.ndarray, width: int) -> np.ndarray:
@@ -150,134 +133,162 @@ def unpack_bits(data: bytes, total_bits: int) -> np.ndarray:
 
 
 class BitPacker:
-    """Accumulates 0/1 arrays into an MSB-first packed byte string.
+    """Accumulates (value, width) fragments into an MSB-first byte string.
 
-    Feeding the same bits in any chunking yields identical bytes.
+    Fragments are ORed into big-endian 64-bit words at their bit offsets;
+    fewer than 64 bits carry over to the next call, so feeding the same
+    fragments in any chunking yields identical bytes.
     """
 
     def __init__(self):
         self._full: list[bytes] = []
-        self._tail = np.zeros(0, dtype=np.uint8)  # < 8 pending bits
+        self._carry = np.uint64(0)  # the bit_length % 64 pending bits, left-aligned
         self.bit_length = 0
 
-    def add(self, bits: np.ndarray) -> None:
-        if bits.size == 0:
+    def add(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        """Append fragments; each value must fit its width, 1..64 bits."""
+        lengths = np.asarray(lengths).astype(np.int64)
+        if lengths.size == 0:
             return
-        self.bit_length += int(bits.size)
-        pending = np.concatenate([self._tail, bits]) if self._tail.size else bits
-        cut = (pending.size // 8) * 8
-        if cut:
-            self._full.append(np.packbits(pending[:cut]).tobytes())
-        self._tail = pending[cut:]
+        values = np.asarray(values).astype(np.uint64, copy=False)
+        pending = self.bit_length % 64
+        ends = np.cumsum(lengths) + pending
+        starts = ends - lengths
+        offset = starts & 63
+        # each value left-aligned in a word, then moved to its offset
+        aligned = values << (64 - lengths).astype(np.uint64)
+        total = int(ends[-1])
+        words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+        # no fragment outgrows a word, so each word up to the last start
+        # holds a start; its pieces are disjoint, so their sum is their OR
+        last = int(starts[-1]) >> 6
+        first = np.searchsorted(starts, np.arange(0, 64 * last + 1, 64))
+        words[: last + 1] = np.add.reduceat(aligned >> offset.astype(np.uint64), first)
+        split = np.flatnonzero(offset + lengths > 64)
+        words[(starts[split] >> 6) + 1] |= aligned[split] << (64 - offset[split]).astype(np.uint64)
+        words[0] |= self._carry
+        self._full.append(words[: total >> 6].astype(">u8").tobytes())
+        self._carry = words[-1] if total & 63 else np.uint64(0)
+        self.bit_length += total - pending
 
-    def add_fragments(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        self.add(fragments_to_bit_array(values, lengths))
+    def extend(self, other: "BitPacker") -> None:
+        """Append everything ``other`` holds, one word per fragment."""
+        data = other.getvalue()
+        words = np.frombuffer(data + bytes(-len(data) % 8), dtype=">u8").astype(np.uint64)
+        lengths = np.full(words.size, 64)
+        lengths[-1:] -= -other.bit_length % 64
+        self.add(words >> (64 - lengths).astype(np.uint64), lengths)
 
     def getvalue(self) -> bytes:
-        out = b"".join(self._full)
-        if self._tail.size:
-            out += np.packbits(self._tail).tobytes()
-        return out
+        tail = np.array([self._carry], dtype=">u8").tobytes()[: (self.bit_length % 64 + 7) // 8]
+        return b"".join(self._full) + tail
 
 
 # ---------------------------------------------------------------------------
-# vectorized block codec
+# block codec
+
+# avalanches in each byte value
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.intp)
+# _POW2[e] = 2^(e-1), the least integer of bit length e (0 for e = 0)
+_POW2 = np.array([0] + [1 << e for e in range(64)], dtype=np.uint64)
+
+
+def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
+    """The n-window blocks of an MSB-first packed stream as left-aligned
+    uint64 words, later bits zero.  Eight blocks fill n bytes, so block r
+    of every eight starts at bit r*n of its n-byte row."""
+    groups = -(-n_blocks // 8)
+    pad = np.zeros(groups * n - packed.size, dtype=np.uint8)
+    rows = np.concatenate([packed, pad]).reshape(groups, n)
+    words = np.zeros((groups, 8), dtype=np.uint64)
+    for r in range(8):
+        byte, bit = divmod(r * n, 8)
+        for j in range((bit + n + 7) // 8):
+            col = rows[:, byte + j].astype(np.uint64)
+            shift = 56 - 8 * j + bit
+            words[:, r] |= col << np.uint64(shift) if shift >= 0 else col >> np.uint64(-shift)
+    return words.reshape(-1)[:n_blocks] & ~np.uint64((1 << (64 - n)) - 1)
 
 
 class _BlockCodec:
-    """Precomputed tables for encoding many blocks of one length at once."""
+    """Rank tables for encoding many blocks of one length at once.
+
+    The rank is additive over a block's bytes: byte c adds
+    ``tables[c, byte, k_after]``, where k_after counts the avalanches in
+    the later bytes.  The subblock is closed-form: the fragment width is
+    bit_length(f XOR C(n, k)) - 1 and its value f mod 2^width.  For
+    n <= 16 the tables are folded once into one entry per pattern.
+    """
 
     def __init__(self, block_len: int):
-        if not (2 <= block_len <= MAX_BLOCK_LEN):
-            raise DomainError(
-                f"block_len must be in [2, {MAX_BLOCK_LEN}], got {block_len}"
-            )
-        n = block_len
-        self.n = n
-        # choose[a, b] = C(a, b), zero where b > a; fits int64 for n <= 64
-        choose = np.zeros((n + 1, n + 1), dtype=np.int64)
-        for a in range(n + 1):
-            for b in range(a + 1):
-                choose[a, b] = binomial(a, b)
-        self.choose = choose
-        # per k: subblock start offsets (ascending) and widths (descending)
-        self.thresholds: dict[int, np.ndarray] = {}
-        self.widths: dict[int, np.ndarray] = {}
-        for k in range(1, n):
-            exps = binary_expansion(n, k).exponents
-            sizes = np.array([1 << e for e in exps], dtype=np.int64)
-            self.thresholds[k] = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-            self.widths[k] = np.array(exps, dtype=np.int64)
-        self._lut = self._build_lut() if n <= _LUT_MAX else None
+        if not 2 <= block_len <= MAX_BLOCK_LEN:
+            raise DomainError(f"block_len must be in [2, {MAX_BLOCK_LEN}], got {block_len}")
+        n = self.n = block_len
+        n_bytes = (n + 7) // 8
+        # C(a, b) by Pascal's rule, zero for b > a; 9 columns at least for n < 8
+        choose = np.zeros((n + 1, max(n, 8) + 1), dtype=np.uint64)
+        choose[:, 0] = 1
+        for a in range(1, n + 1):
+            choose[a, 1:] = choose[a - 1, 1:] + choose[a - 1, :-1]
+        # C(n, k), with 0 for the single-outcome k = 0 and k = n: their rank
+        # 0 then has bit length 0, width -1
+        self._cnk = choose[n, : n + 1].copy()
+        self._cnk[[0, n]] = 0
+        # grow the tables bit by bit from each byte's last window: a set bit at
+        # position p adds C(n - p, avalanches from p on); later bytes hold <= n - 8
+        k_after = np.arange(max(n - 8, 0) + 1)
+        tables = np.zeros((n_bytes, 1, k_after.size), dtype=np.uint64)
+        for bit in range(8):
+            pos = 8 * np.arange(n_bytes) + 8 - bit
+            counts = k_after + 1 + _POPCOUNT[: 1 << bit, None]
+            term = choose[np.maximum(n - pos, 0)][:, counts] * (pos <= n)[:, None, None]
+            tables = np.concatenate([tables, tables + term], axis=1)
+        self._stride = k_after.size
+        self._tables = tables.reshape(n_bytes, -1)  # index: byte * stride + k_after
+        self._folded = None
+        if n <= 16:  # few enough patterns to fold the tables into one entry each
+            self._folded = self._encode_words(np.arange(1 << n, dtype=np.uint64) << 64 - n)
 
-    def _build_lut(self):
-        n = self.n
-        patterns = np.arange(1 << n, dtype=np.int64)
-        windows = (
-            (patterns[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-        ).astype(np.uint8)
-        lengths, values, _, _ = self._encode_rows(windows)
-        return values.astype(np.int64), lengths.astype(np.int8)
+    def _encode_words(self, words: np.ndarray):
+        """(values, widths) of left-aligned block words by table sums."""
+        block_bytes = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+        f = np.zeros(words.size, dtype=np.uint64)
+        k = np.zeros(words.size, dtype=np.intp)
+        for c in range(self._tables.shape[0] - 1, -1, -1):
+            byte = block_bytes[:, c].astype(np.intp)
+            f += self._tables[c][byte * self._stride + k]
+            k += _POPCOUNT[byte]
+        # width = bit_length(f XOR C(n, k)) - 1, the bit length read from the
+        # float exponent, which rounding may carry one too high
+        x = f ^ self._cnk[k]
+        length = np.frexp(x.astype(np.float64))[1]
+        length -= x < _POW2[length]
+        values = f & (np.maximum(_POW2[length], 1) - np.uint64(1))
+        return values, (length - 1).astype(np.int8)
 
-    def _encode_rows(self, rows: np.ndarray):
-        """Encode a (M, n) 0/1 matrix.
-
-        Returns per-row fragment lengths (-1 = k-discard, 0 = zero-width
-        subblock discard), values, and the two discard counts.
-        """
-        n = self.n
-        m_rows = rows.shape[0]
-        lengths = np.full(m_rows, -1, dtype=np.int64)
-        values = np.zeros(m_rows, dtype=np.int64)
-        k_all = rows.sum(axis=1, dtype=np.int64)
-        k_discards = int(np.count_nonzero((k_all == 0) | (k_all == n)))
-        a0_discards = 0
-        for k in range(1, n):
-            sel = np.nonzero(k_all == k)[0]
-            if sel.size == 0:
-                continue
-            _, cols = np.nonzero(rows[sel])
-            cols = cols.reshape(sel.size, k)
-            terms = self.choose[n - 1 - cols, (k - np.arange(k))[None, :]]
-            f = terms.sum(axis=1)
-            thr = self.thresholds[k]
-            sub = np.searchsorted(thr, f, side="right") - 1
-            w = self.widths[k][sub]
-            lengths[sel] = w
-            values[sel] = f - thr[sub]
-            a0_discards += int(np.count_nonzero(w == 0))
-        return lengths, values, k_discards, a0_discards
-
-    def encode(self, windows: np.ndarray, base_block: int = 0):
+    def encode(self, windows: np.ndarray):
         """Encode a window array whose length is a multiple of ``n``.
 
-        Returns (values, lengths, block_index, stats) with discarded
-        blocks removed from the fragment columns.
+        Returns (values, widths, stats), one entry per block; width -1
+        marks a k = 0 or k = n discard and width 0 a width-0 subblock.
         """
         n = self.n
         n_blocks = windows.size // n
-        stats = ExtractStats(windows_seen=int(windows.size), blocks_scanned=n_blocks)
-        if n_blocks == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.astype(np.uint8), empty, stats
-        if self._lut is not None:
-            patterns = fold_words(windows, n)
-            lut_values, lut_lengths = self._lut
-            lengths = lut_lengths[patterns].astype(np.int64)
-            values = lut_values[patterns]
-            stats.blocks_discarded_k0_kn = int(np.count_nonzero(lengths < 0))
-            stats.fragments_discarded_alpha0 = int(np.count_nonzero(lengths == 0))
+        if self._folded is None:
+            values, widths = self._encode_words(_block_words(np.packbits(windows), n, n_blocks))
         else:
-            rows = windows[: n_blocks * n].reshape(n_blocks, n)
-            lengths, values, kd, a0 = self._encode_rows(rows)
-            stats.blocks_discarded_k0_kn = kd
-            stats.fragments_discarded_alpha0 = a0
-        keep = lengths > 0
-        block_idx = np.nonzero(keep)[0].astype(np.int64) + base_block
-        out_lengths = lengths[keep].astype(np.uint8)
-        out_values = values[keep]
-        stats.bits_emitted = int(out_lengths.sum())
-        return out_values, out_lengths, block_idx, stats
+            pattern = fold_words(windows, n)
+            values, widths = self._folded[0][pattern], self._folded[1][pattern]
+        k_discards = int(np.count_nonzero(widths < 0))
+        stats = ExtractStats(
+            windows_seen=int(windows.size),
+            blocks_scanned=n_blocks,
+            blocks_discarded_k0_kn=k_discards,
+            fragments_discarded_alpha0=int(np.count_nonzero(widths == 0)),
+            # each k-discard's -1 cancels against its count
+            bits_emitted=int(widths.sum(dtype=np.int64)) + k_discards,
+        )
+        return values, widths, stats
 
 
 @lru_cache(maxsize=None)
@@ -313,10 +324,6 @@ class StreamingMerger:
         self._packers = [BitPacker() for _ in range(n_channels if policy == "per-channel" else 1)]
         self.stats = ExtractStats()
 
-    @property
-    def block_len(self) -> int:
-        return self._codec.n
-
     def feed(self, per_channel_windows: Sequence[np.ndarray]) -> None:
         if len(per_channel_windows) != len(self._remainders):
             raise DomainError(
@@ -330,34 +337,26 @@ class StreamingMerger:
             if self._remainders[ch].size:
                 arr = np.concatenate([self._remainders[ch], arr])
             usable = (arr.size // n) * n
-            values, lengths, blocks, stats = self._codec.encode(
-                arr[:usable], base_block=self._blocks_done[ch]
-            )
+            values, widths, stats = self._codec.encode(arr[:usable])
             stats.windows_seen = fed
             self.stats.add(stats)
             self._blocks_done[ch] += stats.blocks_scanned
             self._remainders[ch] = arr[usable:].copy()
-            fragments.append((values, lengths, blocks))
-        if len(self._packers) > 1:
-            for packer, (values, lengths, _) in zip(self._packers, fragments):
-                packer.add_fragments(values, lengths)
-            return
-        if len(fragments) == 1:
-            self._packers[0].add_fragments(*fragments[0][:2])
-            return
-        if min(self._blocks_done) != max(self._blocks_done):
-            raise DomainError("channel chunks must cover equal full-block counts")
-        values, lengths, blocks = (np.concatenate(col) for col in zip(*fragments))
-        # fragments arrive in channel order, so a stable sort on block index
-        # yields (block, channel) order
-        order = np.argsort(blocks, kind="stable")
-        self._packers[0].add_fragments(values[order], lengths[order])
+            fragments.append((values, widths))
+        if len(fragments) > 1 and len(self._packers) == 1:
+            if min(self._blocks_done) != max(self._blocks_done):
+                raise DomainError("channel chunks must cover equal full-block counts")
+            # equal block counts: interleave into (block, channel) order
+            fragments = [tuple(np.stack(col, axis=1).reshape(-1) for col in zip(*fragments))]
+        for packer, (values, widths) in zip(self._packers, fragments):
+            keep = widths > 0
+            packer.add(np.compress(keep, values), np.compress(keep, widths))
 
     def finish(self) -> BitOutput:
         """Close the stream; pending partial blocks are dropped."""
         packer, *rest = self._packers
         for p in rest:
-            packer.add(unpack_bits(p.getvalue(), p.bit_length))
+            packer.extend(p)
         return BitOutput(packer.getvalue(), packer.bit_length, self.stats)
 
 

@@ -11,6 +11,9 @@ Binary stream format ``TIMEBIN1``::
 ASCII streams and bit files use one '0'/'1' character per window/bit;
 whitespace is ignored on input.  Packed bit files carry their exact bit
 count in an adjacent ``<name>.meta.json`` sidecar.
+
+Every writer goes through a temp file beside its target and renames it
+into place, so an output appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
 
@@ -30,8 +35,26 @@ MAGIC = b"TIMEBIN1"
 _HEADER = struct.Struct("<8sQQQ")
 HEADER_SIZE = _HEADER.size
 
-_ASCII_CODES = {ord("0"), ord("1")}
 _WS_CODES = {ord(" "), ord("\t"), ord("\n"), ord("\r")}
+
+
+@contextmanager
+def atomic_open(path):
+    """Binary file handle whose contents replace ``path`` on a clean exit;
+    after an exception ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, payload: dict) -> None:
+    with atomic_open(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def meta_path(path) -> Path:
@@ -39,11 +62,17 @@ def meta_path(path) -> Path:
 
 
 def write_meta(path, payload: dict) -> None:
-    meta_path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(meta_path(path), payload)
 
 
-def read_meta(path) -> dict:
-    return json.loads(meta_path(path).read_text())
+def read_meta(path):
+    """The sidecar's JSON value; unreadable JSON raises StreamFormatError."""
+    source = meta_path(path)
+    try:
+        return json.loads(source.read_bytes())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        at = getattr(exc, "pos", getattr(exc, "start", 0))
+        raise StreamFormatError(f"{source}: not valid JSON", offset=at) from None
 
 
 # ---------------------------------------------------------------------------
@@ -51,15 +80,19 @@ def read_meta(path) -> dict:
 
 
 class StreamWriter:
-    """Incremental TIMEBIN1 writer; usable as a context manager."""
+    """Incremental TIMEBIN1 writer; usable as a context manager.
+
+    The stream goes through :func:`atomic_open`: :meth:`close` publishes
+    it, and leaving the ``with`` block by an exception discards it.
+    """
 
     def __init__(self, path, window_period_ns: int, channel_id: int = 0):
-        self._path = Path(path)
-        self._fh = open(self._path, "wb")
         self._period_ns = int(window_period_ns)
         self._channel = int(channel_id)
         self._count = 0
         self._tail = np.zeros(0, dtype=np.uint8)
+        self._output = atomic_open(path)
+        self._fh = self._output.__enter__()
         self._fh.write(_HEADER.pack(MAGIC, 0, self._period_ns, self._channel))
 
     def write(self, windows) -> None:
@@ -79,13 +112,16 @@ class StreamWriter:
             self._fh.write(np.packbits(self._tail).tobytes())
         self._fh.seek(8)
         self._fh.write(struct.pack("<Q", self._count))
-        self._fh.close()
+        self._output.__exit__(None, None, None)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        if exc[0] is None:
+            self.close()
+        elif not self._fh.closed:
+            self._output.__exit__(*exc)
 
 
 def write_stream(path, stream: DetectionStream) -> None:
@@ -94,12 +130,25 @@ def write_stream(path, stream: DetectionStream) -> None:
         w.write(stream.windows)
 
 
+def _check_payload(fh, count: int, base: int = 0) -> None:
+    """The file must end at ``count`` zero-padded MSB-first bits from ``base``."""
+    size = os.fstat(fh.fileno()).st_size
+    expected = base + (count + 7) // 8
+    if size != expected:
+        raise StreamFormatError(
+            f"{fh.name}: {count} bits need {expected} bytes, file has {size}",
+            offset=min(size, expected),
+        )
+    if count % 8:
+        fh.seek(expected - 1)
+        if fh.read(1)[0] & (0xFF >> (count % 8)):
+            raise StreamFormatError(f"{fh.name}: nonzero padding bits", offset=expected - 1)
+
+
 def read_stream_header(path) -> tuple[int, int, int]:
     """Return (window_count, window_period_ns, channel_id).
 
-    The file must hold exactly the header's window count, zero padded;
-    a writer that never reached ``close()`` leaves a count of 0 before a
-    nonempty payload, which fails here.
+    The file must hold exactly the header's window count, zero padded.
     """
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
@@ -110,46 +159,29 @@ def read_stream_header(path) -> tuple[int, int, int]:
             raise StreamFormatError(f"{path}: bad magic {magic!r}", offset=0)
         if period_ns == 0:
             raise StreamFormatError(f"{path}: window period must be nonzero", offset=16)
-        size = os.fstat(fh.fileno()).st_size
-        expected = HEADER_SIZE + (count + 7) // 8
-        if size != expected:
-            raise StreamFormatError(
-                f"{path}: {count} windows need {expected} bytes, file has {size}",
-                offset=min(size, expected),
-            )
-        if count % 8:
-            fh.seek(expected - 1)
-            if fh.read(1)[0] & (0xFF >> (count % 8)):
-                raise StreamFormatError(f"{path}: nonzero padding bits", offset=expected - 1)
+        _check_payload(fh, count, base=HEADER_SIZE)
     return count, period_ns, channel
 
 
 def iter_stream_windows(path, chunk_windows: int = 1 << 24) -> Iterator[np.ndarray]:
     """Yield the stream's windows as 0/1 arrays of at most ``chunk_windows``."""
-    if chunk_windows % 8:
-        raise StreamFormatError("chunk_windows must be a multiple of 8")
+    if chunk_windows <= 0 or chunk_windows % 8:
+        raise StreamFormatError("chunk_windows must be a positive multiple of 8")
     count, _, _ = read_stream_header(path)
-    remaining = count
-    offset = HEADER_SIZE
     with open(path, "rb") as fh:
         fh.seek(HEADER_SIZE)
-        while remaining > 0:
-            take = min(remaining, chunk_windows)
-            nbytes = (take + 7) // 8
-            buf = fh.read(nbytes)
-            if len(buf) < nbytes:
-                raise StreamFormatError(
-                    f"{path}: stream payload ends early", offset=offset + len(buf)
-                )
-            offset += nbytes
+        for start in range(0, count, chunk_windows):
+            take = min(chunk_windows, count - start)
+            buf = fh.read((take + 7) // 8)
+            if len(buf) < (take + 7) // 8:  # the file shrank since the header check
+                at = HEADER_SIZE + start // 8 + len(buf)
+                raise StreamFormatError(f"{path}: stream payload ends early", offset=at)
             yield np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:take]
-            remaining -= take
 
 
 def read_stream(path) -> DetectionStream:
     count, period_ns, channel = read_stream_header(path)
-    chunks = list(iter_stream_windows(path, chunk_windows=1 << 24))
-    windows = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
+    windows = np.unpackbits(np.fromfile(path, dtype=np.uint8, offset=HEADER_SIZE))[:count]
     return DetectionStream(windows, channel_id=channel, window_period=period_ns * 1e-9)
 
 
@@ -173,9 +205,7 @@ def parse_ascii_bits(data: bytes, source: str = "<data>") -> np.ndarray:
     bad = ~(is_bit | is_ws)
     if bad.any():
         at = int(np.nonzero(bad)[0][0])
-        raise StreamFormatError(
-            f"{source}: invalid character {chr(raw[at])!r}", offset=at
-        )
+        raise StreamFormatError(f"{source}: invalid character {chr(raw[at])!r}", offset=at)
     return (raw[is_bit] == ord("1")).astype(np.uint8)
 
 
@@ -185,8 +215,8 @@ def read_ascii_bits(path) -> np.ndarray:
 
 def write_ascii_bits(path, bits) -> None:
     arr = as_bit_array(bits)
-    out = np.where(arr, ord("1"), ord("0")).astype(np.uint8)
-    Path(path).write_bytes(out.tobytes())
+    with atomic_open(path) as fh:
+        fh.write(np.where(arr, ord("1"), ord("0")).astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +231,10 @@ def write_bit_output(path, out: BitOutput, fmt: str = "packed", extra: dict | No
         return
     if fmt != "packed":
         raise StreamFormatError(f"unknown bit output format {fmt!r}")
-    path.write_bytes(out.data)
-    meta = {
-        "format": "packed-bits-msb-first",
-        "total_bits": out.total_bits,
-        "stats": {
-            "windows_seen": out.stats.windows_seen,
-            "blocks_scanned": out.stats.blocks_scanned,
-            "blocks_discarded_k0_kn": out.stats.blocks_discarded_k0_kn,
-            "fragments_discarded_alpha0": out.stats.fragments_discarded_alpha0,
-            "bits_emitted": out.stats.bits_emitted,
-        },
-    }
+    with atomic_open(path) as fh:
+        fh.write(out.data)
+    stats = asdict(out.stats)
+    meta = {"format": "packed-bits-msb-first", "total_bits": out.total_bits, "stats": stats}
     if extra:
         meta.update(extra)
     write_meta(path, meta)
@@ -221,14 +243,16 @@ def write_bit_output(path, out: BitOutput, fmt: str = "packed", extra: dict | No
 def read_bits(path) -> np.ndarray:
     """Read a bit file: packed bytes with a sidecar, else ASCII '0'/'1'."""
     path = Path(path)
-    if meta_path(path).exists():
-        meta = read_meta(path)
-        total_bits = int(meta["total_bits"])
-        buf = np.frombuffer(path.read_bytes(), dtype=np.uint8)
-        if total_bits > 8 * buf.size:
-            raise StreamFormatError(
-                f"{path}: sidecar claims {total_bits} bits but file has {buf.size} bytes",
-                offset=buf.size,
-            )
-        return np.unpackbits(buf)[:total_bits]
-    return read_ascii_bits(path)
+    if not meta_path(path).exists():
+        return read_ascii_bits(path)
+    meta = read_meta(path)
+    total_bits = meta.get("total_bits") if isinstance(meta, dict) else None
+    if type(total_bits) is not int or total_bits < 0:
+        raise StreamFormatError(
+            f"{meta_path(path)}: total_bits must be an integer >= 0, got {total_bits!r}", offset=0
+        )
+    with open(path, "rb") as fh:
+        _check_payload(fh, total_bits)
+        fh.seek(0)
+        data = np.frombuffer(fh.read(), dtype=np.uint8)
+    return np.unpackbits(data)[:total_bits]

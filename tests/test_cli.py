@@ -183,6 +183,18 @@ class TestAnalyze:
         assert "error =" in out_text
         assert "symmetry_deviation" in out_text
 
+    @pytest.mark.parametrize(
+        "sidecar", [b'{"total_bits": 8', b"{}", b'{"total_bits": -5}', b'{"total_bits": 9}']
+    )
+    def test_bad_sidecar_is_format_error(self, tmp_path, capsys, sidecar):
+        bits = tmp_path / "bits.bin"
+        bits.write_bytes(b"\x5a" * 2000)
+        streamio.meta_path(bits).write_bytes(sidecar)
+        code, out_text, err = run(capsys, "analyze", str(bits), "--min-entropy", "--sanity")
+        assert code == 2
+        assert "byte offset" in err
+        assert "pass =" not in out_text
+
     def test_requires_a_check(self, tmp_path, capsys):
         _, bits = self._bits_file(tmp_path, capsys, windows=200_000)
         code, _, err = run(capsys, "analyze", str(bits))

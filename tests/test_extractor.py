@@ -14,6 +14,7 @@ from timebinrng import (
     simulate,
     SourceModel,
 )
+from timebinrng.combinatorics import MAX_BLOCK_LEN, binary_expansion, unrank_combination
 from timebinrng.extractor import fragments_to_bit_array
 
 from oracles import all_combinations, all_patterns, bits_of_fragment, naive_encode, pack_reference
@@ -32,14 +33,14 @@ def encode(n, positions):
 
 
 def pack(frags, cuts=()):
-    """Pack (value, width) fragments with one BitPacker.add_fragments call
+    """Pack (value, width) fragments with one BitPacker.add call
     per piece between the sorted cut positions."""
     values = np.array([v for v, _ in frags], dtype=np.int64)
     lengths = np.array([w for _, w in frags], dtype=np.uint8)
     packer = BitPacker()
     bounds = [0, *cuts, len(frags)]
     for lo, hi in zip(bounds, bounds[1:]):
-        packer.add_fragments(values[lo:hi], lengths[lo:hi])
+        packer.add(values[lo:hi], lengths[lo:hi])
     return packer.getvalue(), packer.bit_length
 
 
@@ -196,6 +197,12 @@ fragment_lists = st.lists(
 )
 
 
+wide_fragment_lists = st.lists(
+    st.integers(1, 64).flatmap(lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))),
+    max_size=40,
+)
+
+
 class TestPackBits:
     def test_two_fragments(self):
         assert pack([(3, 2), (1, 1)]) == (bytes([0b1110_0000]), 3)
@@ -210,6 +217,24 @@ class TestPackBits:
     def test_matches_string_reference(self, frags, data):
         cuts = sorted(data.draw(st.lists(st.integers(0, len(frags)), max_size=8)))
         assert pack(frags, cuts) == pack_reference(frags)
+
+    @given(wide_fragment_lists, st.integers(0, 40))
+    def test_word_straddling_fragments(self, frags, cut):
+        # widths up to a whole word straddle word boundaries at every offset
+        values = np.array([v for v, _ in frags], dtype=np.uint64)
+        lengths = np.array([w for _, w in frags])
+        packer = BitPacker()
+        packer.add(values[:cut], lengths[:cut])
+        packer.add(values[cut:], lengths[cut:])
+        assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
+
+    def test_extend_appends_bits(self):
+        first, second = BitPacker(), BitPacker()
+        first.add(np.array([5]), np.array([3]))
+        second.add(np.array([1, (1 << 64) - 1], dtype=np.uint64), np.array([1, 64]))
+        first.extend(second)
+        expected = pack_reference([(5, 3), (1, 1), ((1 << 64) - 1, 64)])
+        assert (first.getvalue(), first.bit_length) == expected
 
 
 class TestMergeChannels:
@@ -279,7 +304,28 @@ class TestStreamingMerger:
 
 
 class TestLargeBlocks:
-    """Block lengths beyond the lookup table take the per-k ranking path."""
+    """Every block length's subblock edges, and block lengths above 16, which
+    sum the per-byte rank tables instead of reading the folded table."""
+
+    def test_every_subblock_edge_matches_oracle(self):
+        # the first and last rank of every power-of-two subblock of C(n, k),
+        # for every n and 0 < k < n, pin the closed-form subblock width
+        for n in range(2, MAX_BLOCK_LEN + 1):
+            positions = []
+            for k in range(1, n):
+                start = 0
+                for e in binary_expansion(n, k).exponents:
+                    for rank in sorted({start, start + (1 << e) - 1}):
+                        positions.append(unrank_combination(n, k, rank).positions)
+                    start += 1 << e
+            blocks = np.zeros((len(positions), n), dtype=np.uint8)
+            for row, pos in zip(blocks, positions):
+                row[np.array(pos) - 1] = 1
+            out = extract(DetectionStream(blocks.ravel()), n)
+            frags = [naive_encode(n, block) for block in blocks.tolist()]
+            kept = [f for f in frags if f is not None]
+            assert (out.data, out.total_bits) == pack_reference(kept)
+            assert out.stats.fragments_discarded_alpha0 == len(frags) - len(kept)
 
     @pytest.mark.parametrize("n", [16, 17, 24, 33, 64])
     def test_vectorized_matches_scalar(self, n):

@@ -1,5 +1,9 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from timebinrng import DetectionStream, StreamFormatError, extract
 from timebinrng import streamio
@@ -144,3 +148,143 @@ class TestBitFiles:
         streamio.write_meta(path, {"total_bits": 99})
         with pytest.raises(StreamFormatError):
             streamio.read_bits(path)
+
+    @pytest.mark.parametrize(
+        "sidecar, offset",
+        [
+            (b'{"total_bits": 8', 16),  # truncated JSON
+            (b'{"t": "\xff"}', 7),  # not UTF-8
+            (b"{}", 0),  # no total_bits
+            (b"[8]", 0),  # not an object
+            (b'{"total_bits": -5}', 0),
+            (b'{"total_bits": 8.0}', 0),
+            (b'{"total_bits": true}', 0),
+            (b'{"total_bits": "8"}', 0),
+        ],
+    )
+    def test_bad_sidecar_names_offset(self, tmp_path, sidecar, offset):
+        path = tmp_path / "bits.bin"
+        path.write_bytes(b"\xff")
+        streamio.meta_path(path).write_bytes(sidecar)
+        with pytest.raises(StreamFormatError) as err:
+            streamio.read_bits(path)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("total_bits, data, offset", [
+        (12, b"\xff", 1),  # one byte short
+        (8, b"\xff\x00", 1),  # trailing byte
+        (0, b"\x00", 0),
+        (5, b"\xfc", 0),  # padding bit set
+    ])
+    def test_payload_must_fill_exactly(self, tmp_path, total_bits, data, offset):
+        path = tmp_path / "bits.bin"
+        path.write_bytes(data)
+        streamio.write_meta(path, {"total_bits": total_bits})
+        with pytest.raises(StreamFormatError) as err:
+            streamio.read_bits(path)
+        assert err.value.offset == offset
+
+
+class TestAtomicOutputs:
+    def test_failed_writer_leaves_no_file(self, tmp_path):
+        path = tmp_path / "s.tbd1"
+        with pytest.raises(RuntimeError):
+            with streamio.StreamWriter(path, 1000) as w:
+                w.write(np.ones(100, dtype=np.uint8))
+                raise RuntimeError("source failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_old_file(self, tmp_path):
+        path = tmp_path / "s.tbd1"
+        streamio.write_stream(path, random_stream(100))
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with streamio.StreamWriter(path, 1000) as w:
+                w.write(np.ones(100, dtype=np.uint8))
+                raise RuntimeError("source failed")
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_stream_appears_only_on_close(self, tmp_path):
+        path = tmp_path / "s.tbd1"
+        w = streamio.StreamWriter(path, 1000)
+        w.write(np.ones(9, dtype=np.uint8))
+        assert not path.exists()
+        w.close()
+        assert streamio.read_stream_header(path) == (9, 1000, 0)
+        assert list(tmp_path.iterdir()) == [path]
+
+
+# ---------------------------------------------------------------------------
+# reader fuzz: damaged or random input raises StreamFormatError, nothing else
+
+_WINDOWS = (np.arange(45) % 3 == 0).astype(np.uint8)
+VALID_TBD1 = struct.pack("<8sQQQ", b"TIMEBIN1", 45, 1000, 2) + np.packbits(_WINDOWS).tobytes()
+VALID_PACKED = np.packbits(_WINDOWS[:13]).tobytes()
+VALID_SIDECAR = json.dumps({"total_bits": 13}).encode()
+VALID_ASCII = b"0110 1\n01\r\n"
+
+
+@st.composite
+def damaged(draw, valid: bytes):
+    """Random bytes, or ``valid`` truncated, extended or with bits flipped."""
+    how = draw(st.sampled_from(["random", "truncate", "append", "flip"]))
+    if how == "random":
+        return draw(st.binary(max_size=64))
+    if how == "truncate":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    if how == "append":
+        return valid + draw(st.binary(min_size=1, max_size=9))
+    data = bytearray(valid)
+    for bit in draw(st.lists(st.integers(0, 8 * len(valid) - 1), min_size=1, max_size=3)):
+        data[bit // 8] ^= 0x80 >> (bit % 8)
+    return bytes(data)
+
+
+def only_format_errors(read, *args):
+    try:
+        read(*args)
+    except StreamFormatError:
+        pass
+
+
+fuzz = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestReaderFuzz:
+    @fuzz
+    @given(data=damaged(VALID_TBD1))
+    def test_timebin1_readers(self, tmp_path, data):
+        path = tmp_path / "s.tbd1"
+        path.write_bytes(data)
+        only_format_errors(streamio.read_stream_header, path)
+        only_format_errors(lambda: list(streamio.iter_stream_windows(path, chunk_windows=16)))
+        only_format_errors(streamio.read_stream, path)
+        only_format_errors(streamio.read_bits, path)
+
+    @fuzz
+    @given(data=damaged(VALID_PACKED), sidecar=st.just(VALID_SIDECAR) | damaged(VALID_SIDECAR))
+    def test_packed_bits_with_sidecar(self, tmp_path, data, sidecar):
+        path = tmp_path / "bits.bin"
+        path.write_bytes(data)
+        streamio.meta_path(path).write_bytes(sidecar)
+        only_format_errors(streamio.read_bits, path)
+
+    @fuzz
+    @given(data=damaged(VALID_ASCII))
+    def test_ascii_readers(self, tmp_path, data):
+        only_format_errors(streamio.parse_ascii_bits, data)
+        path = tmp_path / "bits.txt"
+        path.write_bytes(data)
+        only_format_errors(streamio.read_bits, path)
+
+    def test_valid_files_read_back(self, tmp_path):
+        path = tmp_path / "s.tbd1"
+        path.write_bytes(VALID_TBD1)
+        assert np.array_equal(streamio.read_stream(path).windows, _WINDOWS)
+        path = tmp_path / "bits.bin"
+        path.write_bytes(VALID_PACKED)
+        streamio.meta_path(path).write_bytes(VALID_SIDECAR)
+        assert np.array_equal(streamio.read_bits(path), _WINDOWS[:13])
