@@ -27,22 +27,34 @@ from timebinrng import (
 )
 from timebinrng import streamio
 from timebinrng.cli import main
+from timebinrng.source_sim import LIT_MODULATION
 
 SEED = 20261018
 WINDOWS = 200_003  # no multiple of 8 or of any n below: every case has a partial tail
 CHUNKS = (WINDOWS, 4_104)  # one feed, and many that split blocks and bytes
 
-# scenario c's dark channel (p = 0.01) with three afterpulse taps
-AFTERPULSE = SourceModel(
-    mean_photons=0.0,
-    dark_rate=-math.log(0.99),
-    efficiency=1.0,
-    afterpulse_taps=(0.02, 0.01, 0.005),
-)
+# single-channel afterpulse models, beside the scenario presets
+AFTERPULSE_MODELS = {
+    # scenario c's dark channel (p = 0.01) with three afterpulse taps
+    "afterpulse": SourceModel(
+        mean_photons=0.0,
+        dark_rate=-math.log(0.99),
+        efficiency=1.0,
+        afterpulse_taps=(0.02, 0.01, 0.005),
+    ),
+    # the lit drive p(t) with two taps: the resolve's per-window p branch
+    "modulated-afterpulse": SourceModel(
+        modulation=LIT_MODULATION, afterpulse_taps=(0.1, 0.05)
+    ),
+    # p = 0.05 with large taps: long chains of tap-induced clicks
+    "dense-chain": SourceModel(dark_rate=-math.log(0.95), afterpulse_taps=(0.9, 0.0, 0.9)),
+}
 
 
 def _models(source: str) -> list[SourceModel]:
-    return [AFTERPULSE] if source == "afterpulse" else preset(source)
+    if source in AFTERPULSE_MODELS:
+        return [AFTERPULSE_MODELS[source]]
+    return preset(source)
 
 
 def _sha(*parts: bytes) -> str:
@@ -75,6 +87,8 @@ SIMULATE = {
     ("c", 0): "691e9206387b3b8c0944dc184fc223d483b4271041b696146dcbd4c90f880e22",
     ("c", 1): "fd0a2dddaca09a458370e85b623c8026564b48a679eb7605372083dde686bb54",
     ("afterpulse", 0): "c60f345e489030c8c6c9bf8b58e603b9e2c7ff9dad3ec4378b184c925962d4f5",
+    ("modulated-afterpulse", 0): "abd95ab8fb1d73ebb09a118fd81862868a9b95e781442552c68826ad93081615",
+    ("dense-chain", 0): "3490a6537bb2bdd0ddc2cee3bcca08bc760ca516f02ca1232abe0c04ccb52e76",
 }
 
 EXTRACT = {
