@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,29 +54,48 @@ def _model_to_dict(model: SourceModel) -> dict:
     return d
 
 
-def _model_from_dict(d: dict) -> SourceModel:
-    mod = d.get("modulation")
-    modulation = ModulationProfile(**mod) if mod else None
-    known = {
-        "mean_photons",
-        "dark_rate",
-        "efficiency",
-        "window",
-        "afterpulse_taps",
-        "gate_frequency",
-    }
-    kwargs = {k: v for k, v in d.items() if k in known}
-    if "afterpulse_taps" in kwargs:
-        kwargs["afterpulse_taps"] = tuple(kwargs["afterpulse_taps"])
-    return SourceModel(modulation=modulation, **kwargs)
+_MODEL_KEYS = frozenset(f.name for f in fields(SourceModel))
+_MODULATION_KEYS = frozenset(f.name for f in fields(ModulationProfile))
+
+
+def _model_from_dict(d) -> SourceModel:
+    if not isinstance(d, dict):
+        raise DomainError(f"a channel must be a JSON object, got {d!r}")
+    unknown = d.keys() - _MODEL_KEYS
+    if unknown:
+        raise DomainError(f"unknown model keys {sorted(unknown)}")
+    kwargs = dict(d)
+    mod = kwargs.pop("modulation", None)
+    if mod is not None:
+        if not isinstance(mod, dict) or mod.keys() != _MODULATION_KEYS:
+            raise DomainError(
+                f"modulation must be null or an object with keys {sorted(_MODULATION_KEYS)}"
+            )
+        kwargs["modulation"] = ModulationProfile(**mod)
+    taps = kwargs.get("afterpulse_taps", [])
+    if not isinstance(taps, list):
+        raise DomainError(f"afterpulse_taps must be a list, got {taps!r}")
+    return SourceModel(**kwargs)
 
 
 def _load_models(path) -> list[SourceModel]:
-    cfg = json.loads(Path(path).read_text())
-    entries = cfg["channels"] if isinstance(cfg, dict) else cfg
-    if not entries:
-        raise DomainError(f"{path}: no channels defined")
-    return [_model_from_dict(e) for e in entries]
+    try:
+        cfg = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DomainError(f"{path}: not a JSON model file: {exc}") from None
+    if isinstance(cfg, dict):
+        if cfg.keys() != {"channels"}:
+            raise DomainError(f"{path}: a model object needs exactly one key, 'channels'")
+        cfg = cfg["channels"]
+    if not isinstance(cfg, list) or not cfg:
+        raise DomainError(f"{path}: channels must be a non-empty list")
+    models = []
+    for channel, entry in enumerate(cfg):
+        try:
+            models.append(_model_from_dict(entry))
+        except DomainError as exc:
+            raise DomainError(f"{path}: channel {channel}: {exc}") from None
+    return models
 
 
 def _channel_path(base: str, channel: int, channels: int) -> Path:
@@ -160,7 +179,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
         else:
             with streamio.atomic_open(out_path) as fh:
                 for chunk in chunks:
-                    fh.write(np.where(chunk, ord("1"), ord("0")).astype(np.uint8).tobytes())
+                    fh.write(streamio.ascii_codes(chunk))
         streamio.write_meta(
             out_path,
             {

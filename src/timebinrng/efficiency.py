@@ -19,13 +19,13 @@ proof).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .combinatorics import MAX_BLOCK_LEN, binary_expansion, binomial
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 
 def _check_p(p: float) -> None:
@@ -106,6 +106,8 @@ class ModulationProfile:
     duration: float  # averaging window, seconds
 
     def __post_init__(self):
+        for f in fields(self):
+            check_finite(f.name, getattr(self, f.name))
         if self.amplitude < 0:
             raise DomainError(f"amplitude must be >= 0, got {self.amplitude}")
         if not (0.0 < self.base - self.amplitude and self.base + self.amplitude < 1.0):

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finite-number check."""
+
+import math
+from numbers import Real
 
 
 class TimebinError(Exception):
@@ -32,3 +35,9 @@ class StreamFormatError(TimebinError, ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def check_finite(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")

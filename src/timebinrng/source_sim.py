@@ -5,7 +5,11 @@ it is nonzero: p = 1 - exp(-eta * (light + dark)).  An optional slow
 sinusoidal modulation drives the click probability directly, standing
 in for intensity or temperature drift.  Afterpulsing adds ``taps[d-1]``
 to the click probability of the d-th gate after the most recent
-avalanche, for d up to the tap list length.
+avalanche, for d up to the tap list length.  Each chunk's afterpulses
+are resolved exactly and mostly vectorised: only windows with
+p <= u < p + max(taps) can change state, most of them are settled by
+the latest unconditional click alone, and the rest, which wait on an
+earlier tap-induced click, take one pass over just those windows.
 
 Streams are reproducible: window i consumes exactly the i-th uniform
 draw of a PCG64 generator seeded with SeedSequence([seed, channel_id]),
@@ -22,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .efficiency import ModulationProfile
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .extractor import DetectionStream
 
 GENERATOR_TAG = "numpy-pcg64 seedseq=[seed,channel_id]"
@@ -44,6 +48,10 @@ class SourceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "afterpulse_taps", tuple(self.afterpulse_taps))
+        for name in ("mean_photons", "dark_rate", "efficiency", "window", "gate_frequency"):
+            check_finite(name, getattr(self, name))
+        for tap in self.afterpulse_taps:
+            check_finite("afterpulse tap", tap)
         if self.mean_photons < 0 or self.dark_rate < 0:
             raise DomainError("photon and dark-carrier means must be >= 0")
         if not (0.0 <= self.efficiency <= 1.0):
@@ -92,31 +100,56 @@ def _resolve_afterpulses(
 ) -> int:
     """Add tap-induced clicks in place; returns the new last-avalanche index.
 
-    Only windows with p <= u < p + max(taps) can change state, so the
-    sequential pass touches a small candidate set.
+    Only a candidate, a window that did not click on its own and has
+    u < p + max(taps), can change state.  It clicks when its distance d
+    to the latest avalanche before it is at most len(taps) and
+    u < p + taps[d - 1].  That avalanche is the latest unconditional
+    click, or the one carried in from earlier chunks, unless an earlier
+    candidate lies after it and within reach.  All other candidates are
+    settled in one vectorised step; the dependent ones follow in window
+    order, one pass over just those, exact for chains of any length.
+    Beyond O(candidates), the only chunk-sized temporaries are the
+    candidate mask and, when p varies, p + max(taps).
     """
-    max_tap = max(taps)
     depth = len(taps)
-    candidates = np.nonzero((~clicks.astype(bool)) & (u < np.asarray(p) + max_tap))[0]
-    # most recent unconditional click at or before i-1, local coordinates
-    marks = np.where(clicks, np.arange(clicks.size, dtype=np.int64), _FAR_PAST)
-    prev_click = np.concatenate(([_FAR_PAST], np.maximum.accumulate(marks)[:-1]))
-    p_arr = p if isinstance(p, np.ndarray) else None
-    last = last_avalanche
-    for i in candidates:
-        gi = start_index + int(i)
-        prev = prev_click[i] + start_index if prev_click[i] != _FAR_PAST else _FAR_PAST
-        ref = max(prev, last)
-        d = gi - ref
-        if 1 <= d <= depth:
-            pi = p_arr[i] if p_arr is not None else p
-            if u[i] < pi + taps[d - 1]:
-                clicks[i] = 1
-                last = gi
-    tail = np.nonzero(clicks)[0]
-    if tail.size:
-        last = max(last, start_index + int(tail[-1]))
-    return last
+    near = np.flatnonzero(u < p + max(taps))
+    cand = near[clicks[near] == 0]
+    del near
+    # local positions of the carried-in avalanche and the unconditional clicks
+    refs = np.concatenate(([last_avalanche - start_index], np.flatnonzero(clicks.view(bool))))
+    # distance to the latest of them before each candidate; depth + 1 is out of reach
+    dist = np.minimum(cand - refs[np.searchsorted(refs, cand) - 1], depth + 1)
+    by_dist = np.array((*taps, -np.inf))  # tap at distance d; -inf never clicks
+    uc = u[cand]
+    pc = np.broadcast_to(p, u.shape)[cand]
+    fired = uc < pc + by_dist[dist - 1]
+    # dependent: the previous candidate lies after the reference, within reach
+    dep = np.flatnonzero(np.diff(cand) < dist[1:]) + 1
+    if dep.size:
+        # state: distance from a candidate to the latest avalanche at or
+        # before it, 0 if it clicked.  -1 marks a dependent predecessor,
+        # whose state is the one the loop has just computed.
+        state = np.where(fired, 0, dist)[dep - 1]
+        state[1:][dep[1:] - 1 == dep[:-1]] = -1
+        gap = cand[dep] - cand[dep - 1]
+        by_dist = by_dist.tolist()
+        out = []
+        s = 0
+        for x, q, r, g, s_prev in zip(
+            uc[dep].tolist(), pc[dep].tolist(), dist[dep].tolist(), gap.tolist(), state.tolist()
+        ):
+            if s_prev >= 0:
+                s = s_prev
+            d = s + g  # the nearer of the predecessor's avalanche and the reference
+            if d > r:
+                d = r
+            s = 0 if x < q + by_dist[d - 1] else d
+            out.append(s)
+        fired[dep] = np.equal(out, 0)
+    induced = cand[fired]
+    clicks[induced] = 1
+    last = max(refs[-1], induced[-1]) if induced.size else refs[-1]
+    return start_index + int(last)
 
 
 def iter_simulate(

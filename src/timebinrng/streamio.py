@@ -213,10 +213,14 @@ def read_ascii_bits(path) -> np.ndarray:
     return parse_ascii_bits(Path(path).read_bytes(), source=str(path))
 
 
+def ascii_codes(bits) -> np.ndarray:
+    """The '0'/'1' character codes of a 0/1 sequence, one uint8 per bit."""
+    return as_bit_array(bits) + np.uint8(ord("0"))
+
+
 def write_ascii_bits(path, bits) -> None:
-    arr = as_bit_array(bits)
     with atomic_open(path) as fh:
-        fh.write(np.where(arr, ord("1"), ord("0")).astype(np.uint8).tobytes())
+        fh.write(ascii_codes(bits))
 
 
 # ---------------------------------------------------------------------------

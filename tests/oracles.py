@@ -2,11 +2,18 @@
 
 Everything here is written directly from the defining formulas with
 stdlib primitives only, deliberately ignoring the library's fast paths,
-so agreement is meaningful.
+so agreement is meaningful.  The one exception is the afterpulse
+reference, a per-candidate loop that keeps numpy only for array access.
 """
+
+from __future__ import annotations
 
 import math
 from itertools import combinations as iter_combinations
+
+import numpy as np
+
+_FAR_PAST = -(1 << 62)
 
 
 def pascal_triangle(n_max):
@@ -73,3 +80,40 @@ def pack_reference(fragments):
     padded = bitstring + "0" * (-len(bitstring) % 8)
     data = bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
     return data, len(bitstring)
+
+
+def afterpulse_reference(
+    clicks: np.ndarray,
+    u: np.ndarray,
+    p: np.ndarray | float,
+    taps: tuple[float, ...],
+    start_index: int,
+    last_avalanche: int,
+) -> int:
+    """Add tap-induced clicks in place; returns the new last-avalanche index.
+
+    Only windows with p <= u < p + max(taps) can change state, so the
+    sequential pass touches a small candidate set.
+    """
+    max_tap = max(taps)
+    depth = len(taps)
+    candidates = np.nonzero((~clicks.astype(bool)) & (u < np.asarray(p) + max_tap))[0]
+    # most recent unconditional click at or before i-1, local coordinates
+    marks = np.where(clicks, np.arange(clicks.size, dtype=np.int64), _FAR_PAST)
+    prev_click = np.concatenate(([_FAR_PAST], np.maximum.accumulate(marks)[:-1]))
+    p_arr = p if isinstance(p, np.ndarray) else None
+    last = last_avalanche
+    for i in candidates:
+        gi = start_index + int(i)
+        prev = prev_click[i] + start_index if prev_click[i] != _FAR_PAST else _FAR_PAST
+        ref = max(prev, last)
+        d = gi - ref
+        if 1 <= d <= depth:
+            pi = p_arr[i] if p_arr is not None else p
+            if u[i] < pi + taps[d - 1]:
+                clicks[i] = 1
+                last = gi
+    tail = np.nonzero(clicks)[0]
+    if tail.size:
+        last = max(last, start_index + int(tail[-1]))
+    return last

@@ -68,6 +68,28 @@ class TestSimulate:
         stream = streamio.read_stream(out)
         assert abs(stream.windows.mean() - 0.5) < 0.01
 
+    @pytest.mark.parametrize("text", [
+        '{"chans": []}',
+        '{"channels": [',
+        '[1]',
+        '[{"dark_rate": "x"}]',
+        '[{"dark_rate": 0.01, "bogus": 1}]',
+        '[{"dark_rate": NaN}]',
+        '[{"dark_rate": 0.01, "afterpulse_taps": [0.01, NaN]}]',
+    ], ids=["no-channels-key", "bad-json", "not-an-object", "string-value", "unknown-key",
+            "nan-dark-rate", "nan-tap"])
+    def test_bad_model_file_is_input_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(text)
+        out = tmp_path / "m.tbd1"
+        code, _, err = run(
+            capsys, "simulate", "--model-file", str(cfg), "--windows", "100",
+            "--seed", "3", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {cfg}: ")
+        assert not out.exists()
+
     def test_ascii_format(self, tmp_path, capsys):
         out = tmp_path / "a.txt"
         code, _, _ = run(

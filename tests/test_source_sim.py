@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import afterpulse_reference
+from timebinrng import source_sim
 from timebinrng import (
     DomainError,
     ModulationProfile,
@@ -137,6 +141,46 @@ class TestAfterpulsing:
     def test_negative_tap_rejected(self):
         with pytest.raises(DomainError):
             SourceModel(afterpulse_taps=(-0.1,))
+
+    @pytest.mark.parametrize("make", [
+        lambda x: SourceModel(dark_rate=x),
+        lambda x: SourceModel(mean_photons=x),
+        lambda x: SourceModel(gate_frequency=x),
+        lambda x: SourceModel(afterpulse_taps=(0.01, x)),
+        lambda x: ModulationProfile(0.5, 0.1, x, 1.0),
+        lambda x: ModulationProfile(0.5, 0.1, 1.0, x),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.1", True])
+    def test_non_finite_or_non_numeric_parameters_rejected(self, make, value):
+        with pytest.raises(DomainError):
+            make(value)
+
+    @given(st.data())
+    def test_resolve_matches_reference_loop(self, data):
+        modulated = data.draw(st.booleans(), "modulated")
+        if modulated:
+            amplitude = data.draw(st.floats(0.0, 0.3), "amplitude")
+            base = data.draw(st.floats(amplitude + 0.01, 0.6), "base")
+            omega = data.draw(st.floats(0.0, 3e5), "omega")  # periods down to ~20 windows
+            model = SourceModel(modulation=ModulationProfile(base, amplitude, omega, 1.0))
+        else:
+            p = data.draw(st.floats(0.0, 0.6), "p")
+            model = SourceModel(mean_photons=-math.log1p(-p))
+        room = 1.0 - model.peak_probability()
+        shares = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        taps = tuple(room * t for t in data.draw(st.lists(shares, min_size=1, max_size=4), "taps"))
+        try:  # room * 1.0 reaches the peak + max(taps) = 1 limit, give or take rounding
+            model = SourceModel(**{**vars(model), "afterpulse_taps": taps})
+        except DomainError:
+            taps = tuple(math.nextafter(t, 0.0) if t == max(taps) else t for t in taps)
+            model = SourceModel(**{**vars(model), "afterpulse_taps": taps})
+        n = data.draw(st.integers(1, 3_000), "windows")
+        chunk = data.draw(st.integers(max(1, n // 64), n), "chunk")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        with mock.patch.object(source_sim, "_resolve_afterpulses", afterpulse_reference):
+            expected = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=n)))
+        got = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=chunk)))
+        assert np.array_equal(got, expected)
 
 
 class TestPresets:
