@@ -132,7 +132,7 @@ def _resolve_afterpulses(
         state = np.where(fired, 0, dist)[dep - 1]
         state[1:][dep[1:] - 1 == dep[:-1]] = -1
         gap = cand[dep] - cand[dep - 1]
-        by_dist = by_dist.tolist()
+        tap_at = by_dist.tolist()
         out = []
         s = 0
         for x, q, r, g, s_prev in zip(
@@ -143,7 +143,7 @@ def _resolve_afterpulses(
             d = s + g  # the nearer of the predecessor's avalanche and the reference
             if d > r:
                 d = r
-            s = 0 if x < q + by_dist[d - 1] else d
+            s = 0 if x < q + tap_at[d - 1] else d
             out.append(s)
         fired[dep] = np.equal(out, 0)
     induced = cand[fired]
