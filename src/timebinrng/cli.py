@@ -417,6 +417,8 @@ def _cmd_efficiency(args, argv: list[str]) -> int:
 
 
 def _cmd_bench(args, argv: list[str]) -> int:
+    if args.windows < 1:
+        raise DomainError(f"--windows must be >= 1, got {args.windows}")
     models = preset(args.scenario)
     model = models[0]
     t0 = time.perf_counter()

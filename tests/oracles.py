@@ -2,8 +2,10 @@
 
 Everything here is written directly from the defining formulas with
 stdlib primitives only, deliberately ignoring the library's fast paths,
-so agreement is meaningful.  The one exception is the afterpulse
-reference, a per-candidate loop that keeps numpy only for array access.
+so agreement is meaningful.  The exceptions are the simulator
+references: the afterpulse reference, a per-candidate loop that keeps
+numpy only for array access, and the whole-simulator reference, which
+evaluates p(t) at every window with the library's own expression.
 """
 
 from __future__ import annotations
@@ -117,3 +119,24 @@ def afterpulse_reference(
     if tail.size:
         last = max(last, start_index + int(tail[-1]))
     return last
+
+
+def simulate_reference(model, n_windows, seed, channel_id=0, t0=0.0):
+    """The simulated stream as one chunk, p(t) evaluated at every window.
+
+    The uniform draws, the full-array threshold ``u < clip(p_at(t))`` and
+    the afterpulse loop, with no bound on p: the per-window path the
+    library's bounded modulation must reproduce bit for bit.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, channel_id])))
+    start, count, period = 0, n_windows, model.window_period
+    u = rng.random(count)
+    if model.modulation is not None:
+        t = t0 + (start + np.arange(count, dtype=np.float64)) * period
+        p = np.clip(model.modulation.p_at(t), 0.0, 1.0)
+    else:
+        p = model.base_probability()
+    clicks = (u < p).view(np.uint8)
+    if model.afterpulse_taps:
+        afterpulse_reference(clicks, u, p, model.afterpulse_taps, start, _FAR_PAST)
+    return clicks

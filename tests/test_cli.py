@@ -90,6 +90,17 @@ class TestSimulate:
         assert err.startswith(f"error: {cfg}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
+    def test_non_finite_t0_is_input_error(self, tmp_path, capsys, t0):
+        out = tmp_path / "a.tbd1"
+        code, _, err = run(
+            capsys, "simulate", "--scenario", "a", "--windows", "1000",
+            "--seed", "7", "--out", str(out), "--t0", t0,
+        )
+        assert code == 2
+        assert "t0" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_ascii_format(self, tmp_path, capsys):
         out = tmp_path / "a.txt"
         code, _, _ = run(
@@ -265,6 +276,12 @@ class TestBench:
         )
         assert code == 0
         assert "end_to_end_mwin_per_s" in out_text
+
+    @pytest.mark.parametrize("windows", ["0", "-5"])
+    def test_no_windows_is_input_error(self, capsys, windows):
+        code, _, err = run(capsys, "bench", "--windows", windows)
+        assert code == 2
+        assert "--windows" in err
 
 
 class TestReproducibility:

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import afterpulse_reference
+from oracles import simulate_reference
 from timebinrng import source_sim
 from timebinrng import (
     DomainError,
@@ -177,10 +179,117 @@ class TestAfterpulsing:
         n = data.draw(st.integers(1, 3_000), "windows")
         chunk = data.draw(st.integers(max(1, n // 64), n), "chunk")
         seed = data.draw(st.integers(0, 2**32 - 1), "seed")
-        with mock.patch.object(source_sim, "_resolve_afterpulses", afterpulse_reference):
-            expected = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=n)))
+        expected = simulate_reference(model, n, seed)  # whole-array p + afterpulse_reference
         got = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=chunk)))
         assert np.array_equal(got, expected)
+
+
+@contextmanager
+def recorded_p_at():
+    """Patch ``ModulationProfile.p_at`` to record every time array it is given."""
+    seen = []
+    p_at = ModulationProfile.p_at
+
+    def recording(self, t):
+        seen.append(np.ravel(t))
+        return p_at(self, t)
+
+    with mock.patch.object(ModulationProfile, "p_at", recording):
+        yield seen
+
+
+class TestModulationBound:
+    """A modulated chunk evaluates p(t) only where a draw is too close to call."""
+
+    @given(st.data())
+    def test_matches_whole_array_reference(self, data):
+        amplitude = data.draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.45), "amplitude")
+        base = data.draw(st.floats(amplitude + 0.01, 0.99 - amplitude), "base")
+        # from constant p through the lit drift to many periods per sub-interval,
+        # where the bound is vacuous and every window is evaluated
+        magnitude = data.draw(
+            st.sampled_from([0.0, 0.1 * math.pi, 1e7]) | st.floats(-3.0, 7.0).map(lambda e: 10**e),
+            "omega",
+        )
+        omega = magnitude * data.draw(st.sampled_from([1, -1]), "sign")
+        gate_frequency = data.draw(st.sampled_from([1e3, 1e6, 1e9]), "gate_frequency")
+        room = 1.0 - (base + amplitude)
+        taps = tuple(room * t for t in data.draw(st.lists(st.floats(0.0, 0.99), max_size=4), "taps"))
+        model = SourceModel(
+            modulation=ModulationProfile(base, amplitude, omega, 1.0),
+            afterpulse_taps=taps,
+            gate_frequency=gate_frequency,
+        )
+        t0 = data.draw(st.sampled_from([0.0, 1e6]) | st.floats(0.0, 1e6), "t0")
+        n = data.draw(st.integers(1, 5 * source_sim._SPAN), "windows")
+        # chunks of any length split sub-intervals, which start anew in each chunk
+        chunk = data.draw(st.integers(max(1, n // 16), n), "chunk")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        expected = simulate_reference(model, n, seed, t0=t0)
+        with recorded_p_at() as seen:
+            got = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=chunk, t0=t0)))
+        assert np.array_equal(got, expected)
+        # p is only ever evaluated at times of the whole-stream grid, bit for bit
+        grid = t0 + np.arange(n, dtype=np.float64) * model.window_period
+        assert np.isin(np.concatenate(seen).view(np.uint64), grid.view(np.uint64)).all()
+
+    def test_p_is_evaluated_for_few_windows(self):
+        (model,) = preset("a")
+        n = 1 << 20
+        with recorded_p_at() as seen:
+            got = np.concatenate(list(iter_simulate(model, n, seed=4, chunk_windows=1 << 16)))
+        assert np.array_equal(got, simulate_reference(model, n, seed=4))
+        assert 0 < sum(t.size for t in seen) < 0.005 * n
+
+    def test_memory_per_window(self):
+        (model,) = preset("a")
+        n = 1 << 22
+        tracemalloc.start()
+        try:
+            next(iter_simulate(model, n, seed=1, chunk_windows=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 12.0  # u (8 B) + clicks + one mask; 32 B with p at every window
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t0_rejected(self, t0):
+        (model,) = preset("a")
+        with pytest.raises(DomainError, match="t0"):
+            next(iter_simulate(model, 100, seed=1, t0=t0))
+
+
+class TestSinIsBitwiseStable:
+    """np.sin gives an element the same bits in a full, offset or gathered array.
+
+    The bounded modulation evaluates p at gathered windows and must match
+    an evaluation over the whole chunk bit for bit.
+    """
+
+    LENGTHS = sorted(
+        {*range(1, 80)}
+        | {(1 << e) + d for e in range(6, 21) for d in (-1, 0, 1) if (1 << e) + d <= 1 << 20}
+    )
+
+    def _arguments(self, rng, size):
+        # w*t as the simulator forms it (small drift phases through 1e13 rad),
+        # mixed with plain uniform phases, signs both ways
+        magnitude = 10.0 ** rng.uniform(-3, 13, size)
+        mixed = np.where(rng.random(size) < 0.5, magnitude, rng.uniform(0, 2e3, size))
+        return np.where(rng.random(size) < 0.2, -mixed, mixed)
+
+    def test_offsets_and_gathers(self):
+        rng = np.random.default_rng(20261018)
+        for size in self.LENGTHS:
+            x = self._arguments(rng, size)
+            full = np.sin(x).view(np.uint64)
+            for offset in {1, 3, 7, 13} & set(range(size)):
+                assert np.array_equal(np.sin(x[offset:]).view(np.uint64), full[offset:]), size
+            for share in (0.001, 0.1, 0.5):
+                idx = np.flatnonzero(rng.random(size) < share)
+                assert np.array_equal(np.sin(x[idx]).view(np.uint64), full[idx]), size
+            one = rng.integers(size)
+            assert np.sin(x[one : one + 1]).view(np.uint64)[0] == full[one], size
 
 
 class TestPresets:
