@@ -136,7 +136,7 @@ def _bound_modulated(model: SourceModel, times, count: int):
 def _resolve_afterpulses(
     clicks: np.ndarray,
     u: np.ndarray,
-    near: np.ndarray,
+    ceiling: np.ndarray | float,
     p_of,
     taps: tuple[float, ...],
     start_index: int,
@@ -145,30 +145,33 @@ def _resolve_afterpulses(
     """Add tap-induced clicks in place; returns the new last-avalanche index.
 
     Only a candidate, a window that did not click on its own and has
-    u < p + max(taps), can change state.  ``near`` holds the ascending
-    local indices of every candidate, and may hold other windows too;
-    ``p_of(idx)`` gives p at local indices, so p is evaluated at the
-    candidates only.  A candidate clicks when its distance d to the
-    latest avalanche before it is at most len(taps) and
-    u < p + taps[d - 1].  That avalanche is the latest unconditional
-    click, or the one carried in from earlier chunks, unless an earlier
-    candidate lies after it and within reach.  All other candidates are
-    settled in one vectorised step; the dependent ones follow in window
-    order, one pass over just those, exact for chains of any length.
-    Beyond O(len(near)) and the click positions, nothing chunk-sized is
-    allocated.
+    u < p + max(taps), can change state.  ``ceiling`` is at least
+    p + max(taps) at every window: a float, or one value per
+    sub-interval of p.  Windows under it that are no candidates never
+    click and so change nothing.  ``p_of(idx)`` gives p at local
+    indices, so p is evaluated at those windows only.  A candidate
+    clicks when its distance d to the latest avalanche before it is at
+    most len(taps) and u < p + taps[d - 1].  That avalanche is the
+    latest unconditional click, or the one carried in from earlier
+    chunks, unless an earlier candidate lies after it and within reach.
+    All other candidates are settled in one vectorised step; the
+    dependent ones follow in window order, one pass over just those,
+    exact for chains of any length.
+    Beyond one mask, O(candidates) and the click positions, nothing
+    chunk-sized is allocated.
     """
     depth = len(taps)
-    cand = near[clicks[near] == 0]
-    uc = u[cand]
-    pc = np.broadcast_to(p_of(cand), cand.shape)
-    keep = uc < pc + max(taps)
-    cand, uc, pc = cand[keep], uc[keep], pc[keep]
+    near = _below(u, ceiling) if np.ndim(ceiling) else u < ceiling
+    np.greater(near, clicks.view(bool), out=near)  # and no click of its own
+    cand = np.flatnonzero(near)
+    del near
     # local positions of the carried-in avalanche and the unconditional clicks
     refs = np.concatenate(([last_avalanche - start_index], np.flatnonzero(clicks.view(bool))))
     # distance to the latest of them before each candidate; depth + 1 is out of reach
     dist = np.minimum(cand - refs[np.searchsorted(refs, cand) - 1], depth + 1)
     by_dist = np.array((*taps, -np.inf))  # tap at distance d; -inf never clicks
+    uc = u[cand]
+    pc = np.broadcast_to(p_of(cand), cand.shape)
     fired = uc < pc + by_dist[dist - 1]
     # dependent: the previous candidate lies after the reference, within reach
     dep = np.flatnonzero(np.diff(cand) < dist[1:]) + 1
@@ -219,7 +222,6 @@ def iter_simulate(
     check_finite("t0", t0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, channel_id])))
     taps = model.afterpulse_taps
-    max_tap = max(taps, default=0.0)
     period = model.window_period
     constant_p = None if model.modulation is not None else model.base_probability()
     start = 0
@@ -242,18 +244,14 @@ def iter_simulate(
             idx = np.flatnonzero(close)
             del close
             below[idx] = u[idx] < p_of(idx)
-            if taps:
-                near = _below(u, hi + max_tap)
-                np.greater(near, below, out=near)  # and no click of its own
-                near = np.flatnonzero(near)
             clicks = below.view(np.uint8)
+            ceiling = hi
         else:
             clicks = (u < constant_p).view(np.uint8)
-            if taps:
-                near = np.flatnonzero(u < constant_p + max_tap)
+            ceiling = constant_p
         if taps:
             last_avalanche = _resolve_afterpulses(
-                clicks, u, near, p_of, taps, start, last_avalanche
+                clicks, u, ceiling + max(taps), p_of, taps, start, last_avalanche
             )
         yield clicks
         start += count
