@@ -16,11 +16,22 @@ import numpy as np
 
 from .combinatorics import binomial
 from .errors import DomainError, UnsupportedCaseError
-from .extractor import DetectionStream, as_bit_array, fold_words
+from .extractor import DetectionStream, as_bit_array
 from .streamio import atomic_open, write_ascii_bits, write_meta
 
 MAX_WORD_BITS = 16
 _UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
+
+
+def fold_words(bits: np.ndarray, width: int) -> np.ndarray:
+    """Non-overlapping MSB-first ``width``-bit words (width <= 16) of a 0/1
+    array; a partial tail is dropped."""
+    n_words = bits.size // width
+    rows = bits[: n_words * width].reshape(n_words, width)
+    acc = rows[:, 0].astype(np.uint16)
+    for j in range(1, width):
+        acc = (acc << 1) | rows[:, j]
+    return acc
 
 
 def statistical_error_scale(word_bits: int, word_count: int) -> float:

@@ -215,6 +215,10 @@ def _open_input(path, chunk_windows: int):
 
 
 def _cmd_extract(args, argv: list[str]) -> int:
+    if args.chunk_windows <= 0 or args.chunk_windows % 8:
+        raise DomainError(
+            f"--chunk-windows must be a positive multiple of 8, got {args.chunk_windows}"
+        )
     inputs = args.inputs
     counts, periods, iters = zip(*(_open_input(p, args.chunk_windows) for p in inputs))
     if args.merge == "round-robin-block" and len(set(counts)) != 1:

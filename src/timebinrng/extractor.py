@@ -13,14 +13,18 @@ position patterns are equally likely, which holds whenever the click
 probability is constant within one block.  Nothing else about the
 stream enters the output, so slow drift between blocks cannot bias it.
 
-One table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`).
-Fragments are ORed into big-endian 64-bit words, most significant bit
-first.  The tests check this codec against the brute-force encoder in
-``tests/oracles.py``.
+One table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`);
+it reads blocks from the packed chunk, up to 16 windows per lookup for
+n <= 16.  Neighbouring fragments are joined pairwise while the result
+surely fits 64 bits, then ORed into big-endian 64-bit words, most
+significant bit first.  The tests check this codec against the
+brute-force encoder in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -92,6 +96,8 @@ class BitOutput:
 # ---------------------------------------------------------------------------
 # bit-level helpers
 
+_BATCH = 1 << 14  # queued fragments that start a packing pass
+
 
 def as_bit_array(windows) -> np.ndarray:
     """Coerce to a 1-D uint8 array of 0/1 values."""
@@ -114,17 +120,6 @@ def fragments_to_bit_array(values: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return unpack_bits(packer.getvalue(), packer.bit_length)
 
 
-def fold_words(bits: np.ndarray, width: int) -> np.ndarray:
-    """Non-overlapping MSB-first ``width``-bit words (width <= 16) of a 0/1
-    array; a partial tail is dropped."""
-    n_words = bits.size // width
-    rows = bits[: n_words * width].reshape(n_words, width)
-    acc = rows[:, 0].astype(np.uint16)
-    for j in range(1, width):
-        acc = (acc << 1) | rows[:, j]
-    return acc
-
-
 def unpack_bits(data: bytes, total_bits: int) -> np.ndarray:
     buf = np.frombuffer(data, dtype=np.uint8)
     if total_bits > 8 * buf.size:
@@ -136,29 +131,47 @@ class BitPacker:
     """Accumulates (value, width) fragments into an MSB-first byte string.
 
     Fragments are ORed into big-endian 64-bit words at their bit offsets;
-    fewer than 64 bits carry over to the next call, so feeding the same
-    fragments in any chunking yields identical bytes.
+    fewer than 64 bits carry over to the next pass, so feeding the same
+    fragments in any chunking yields identical bytes.  Calls are queued
+    and packed together once ``_BATCH`` fragments wait, or when the
+    bits are read, since each pass costs tens of microseconds however
+    few fragments it packs.
     """
 
     def __init__(self):
         self._full: list[bytes] = []
         self._carry = np.uint64(0)  # the bit_length % 64 pending bits, left-aligned
-        self.bit_length = 0
+        self._bits = 0  # packed so far
+        self._queue: list[tuple[np.ndarray, np.ndarray]] = []
+        self._queued = 0
+
+    @property
+    def bit_length(self) -> int:
+        self._pack()
+        return self._bits
 
     def add(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        """Append fragments; each value must fit its width, 1..64 bits."""
+        """Append fragments; each value must fit its width, 0..64 bits."""
         lengths = np.asarray(lengths).astype(np.int64)
-        if lengths.size == 0:
+        self._queue.append((np.asarray(values).astype(np.uint64), lengths))
+        self._queued += lengths.size
+        if self._queued >= _BATCH:
+            self._pack()
+
+    def _pack(self) -> None:
+        if not self._queued:
+            self._queue = []
             return
-        values = np.asarray(values).astype(np.uint64, copy=False)
-        pending = self.bit_length % 64
+        values, lengths = (np.concatenate(column) for column in zip(*self._queue))
+        self._queue, self._queued = [], 0
+        pending = self._bits % 64
         ends = np.cumsum(lengths) + pending
         starts = ends - lengths
         offset = starts & 63
         # each value left-aligned in a word, then moved to its offset
         aligned = values << (64 - lengths).astype(np.uint64)
         total = int(ends[-1])
-        words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+        words = np.zeros((total >> 6) + 1, dtype=np.uint64)  # the last one pending
         # no fragment outgrows a word, so each word up to the last start
         # holds a start; its pieces are disjoint, so their sum is their OR
         last = int(starts[-1]) >> 6
@@ -168,8 +181,8 @@ class BitPacker:
         words[(starts[split] >> 6) + 1] |= aligned[split] << (64 - offset[split]).astype(np.uint64)
         words[0] |= self._carry
         self._full.append(words[: total >> 6].astype(">u8").tobytes())
-        self._carry = words[-1] if total & 63 else np.uint64(0)
-        self.bit_length += total - pending
+        self._carry = words[-1]
+        self._bits += total - pending
 
     def extend(self, other: "BitPacker") -> None:
         """Append everything ``other`` holds, one word per fragment."""
@@ -180,7 +193,8 @@ class BitPacker:
         self.add(words >> (64 - lengths).astype(np.uint64), lengths)
 
     def getvalue(self) -> bytes:
-        tail = np.array([self._carry], dtype=">u8").tobytes()[: (self.bit_length % 64 + 7) // 8]
+        self._pack()
+        tail = np.array([self._carry], dtype=">u8").tobytes()[: (self._bits % 64 + 7) // 8]
         return b"".join(self._full) + tail
 
 
@@ -191,23 +205,47 @@ class BitPacker:
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.intp)
 # _POW2[e] = 2^(e-1), the least integer of bit length e (0 for e = 0)
 _POW2 = np.array([0] + [1 << e for e in range(64)], dtype=np.uint64)
+_LOW = np.maximum(_POW2, 1) - np.uint64(1)  # _LOW[e] = 2^(e-1) - 1, masks f mod 2^(e-1)
+_SPAN = 16  # most windows per folded table index
+_INTERLEAVE = 1 << 20  # windows per channel interleaved at a time
 
 
 def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
     """The n-window blocks of an MSB-first packed stream as left-aligned
-    uint64 words, later bits zero.  Eight blocks fill n bytes, so block r
-    of every eight starts at bit r*n of its n-byte row."""
+    uint64 words; the bits after each block are those that follow it.
+
+    Eight blocks fill n bytes, so block r of every eight starts at bit
+    r*n % 8 of byte r*n // 8 of its n-byte row: one strided big-endian
+    8-byte read and one shift, plus a ninth byte where bit + n > 64.
+    """
     groups = -(-n_blocks // 8)
-    pad = np.zeros(groups * n - packed.size, dtype=np.uint8)
-    rows = np.concatenate([packed, pad]).reshape(groups, n)
-    words = np.zeros((groups, 8), dtype=np.uint64)
+    if not groups:
+        return np.zeros(0, dtype=np.uint64)
+    buf = np.zeros(groups * n + 8, dtype=np.uint8)  # room for the last row's reads
+    buf[: packed.size] = packed
+    words = np.empty((groups, 8), dtype=np.uint64)
     for r in range(8):
         byte, bit = divmod(r * n, 8)
-        for j in range((bit + n + 7) // 8):
-            col = rows[:, byte + j].astype(np.uint64)
-            shift = 56 - 8 * j + bit
-            words[:, r] |= col << np.uint64(shift) if shift >= 0 else col >> np.uint64(-shift)
-    return words.reshape(-1)[:n_blocks] & ~np.uint64((1 << (64 - n)) - 1)
+        col = np.ndarray(groups, ">u8", buf, byte, (n,)).astype(np.uint64)
+        col <<= np.uint64(bit)
+        if bit + n > 64:
+            col |= buf[byte + 8 :: n][:groups] >> (8 - bit)
+        words[:, r] = col
+    return words.reshape(-1)[:n_blocks]
+
+
+def _premerge(values: np.ndarray, widths: np.ndarray, levels: int):
+    """Join neighbouring fragments pairwise, v1 << w2 | v2 and w1 + w2,
+    ``levels`` times; zero-width padding fills the last pairs."""
+    pad = -values.size % (1 << levels)
+    if pad:
+        values = np.concatenate((values, np.zeros(pad, values.dtype)))
+        widths = np.concatenate((widths, np.zeros(pad, widths.dtype)))
+    v, w = values.astype(np.uint64), widths.astype(np.uint64)
+    for _ in range(levels):
+        v = (v[0::2] << w[1::2]) | v[1::2]
+        w = w[0::2] + w[1::2]
+    return v, w
 
 
 class _BlockCodec:
@@ -216,8 +254,17 @@ class _BlockCodec:
     The rank is additive over a block's bytes: byte c adds
     ``tables[c, byte, k_after]``, where k_after counts the avalanches in
     the later bytes.  The subblock is closed-form: the fragment width is
-    bit_length(f XOR C(n, k)) - 1 and its value f mod 2^width.  For
-    n <= 16 the tables are folded once into one entry per pattern.
+    bit_length(f XOR C(n, k)) - 1 and its value f mod 2^width.
+
+    :meth:`encode` packs its windows once.  For n <= 16 the tables are
+    folded at construction into one entry per pattern of 16 // n
+    consecutive blocks, so one lookup encodes up to 16 windows; where n
+    divides 16 the index is a 16-bit word of the packed bytes.  An entry
+    holds the blocks' fragments concatenated, their summed width and
+    their numbers of k- and width-0 discards.  For n > 16 the table
+    sums run only on blocks that are neither empty nor full.
+    ``levels`` is how often neighbouring fragments can be joined
+    pairwise and still fit 64 bits.
     """
 
     def __init__(self, block_len: int):
@@ -245,16 +292,37 @@ class _BlockCodec:
             tables = np.concatenate([tables, tables + term], axis=1)
         self._stride = k_after.size
         self._tables = tables.reshape(n_bytes, -1)  # index: byte * stride + k_after
-        self._folded = None
-        if n <= 16:  # few enough patterns to fold the tables into one entry each
-            self._folded = self._encode_words(np.arange(1 << n, dtype=np.uint64) << 64 - n)
+        # float64 holds every f XOR C(n, k) exactly unless C(n, k) reaches 2^53
+        self._rounds = int(self._cnk.max()) >= 1 << 53
+        self._mask = ~np.uint64((1 << (64 - n)) - 1)  # the n leading bits of a word
+        self._per = max(_SPAN // n, 1)  # blocks per table index or fragment
+        self._folded = self._fold() if n <= 16 else None
+        widest = self._per * (math.comb(n, n // 2).bit_length() - 1)  # of one fragment
+        self.levels = (64 // widest).bit_length() - 1
+
+    def _fold(self):
+        """(values, widths, discards) per pattern of ``per`` blocks; the two
+        bytes of a discards entry count its k- and its width-0 discards."""
+        n = self.n
+        values, widths = self._encode_words(np.arange(1 << n, dtype=np.uint64) << np.uint64(64 - n))
+        values = values.astype(np.uint16)  # 13 bits at most, even concatenated
+        fit = np.maximum(widths, 0).astype(np.uint16)
+        discards = np.stack([widths < 0, widths == 0], axis=1).astype(np.uint8)
+        value, width, count = values, fit, discards
+        for _ in range(self._per - 1):  # one more block in the trailing bits
+            value = ((value[:, None] << fit) | values).ravel()
+            width = (width[:, None] + fit).ravel()
+            count = (count[:, None] + discards).reshape(-1, 2)
+        return value, width.astype(np.uint8), count.view(np.uint16).ravel()
 
     def _encode_words(self, words: np.ndarray):
         """(values, widths) of left-aligned block words by table sums."""
         block_bytes = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-        f = np.zeros(words.size, dtype=np.uint64)
-        k = np.zeros(words.size, dtype=np.intp)
-        for c in range(self._tables.shape[0] - 1, -1, -1):
+        last = self._tables.shape[0] - 1
+        byte = block_bytes[:, last].astype(np.intp)
+        f = self._tables[last][byte * self._stride]  # no later bytes: k_after = 0
+        k = _POPCOUNT[byte]
+        for c in range(last - 1, -1, -1):
             byte = block_bytes[:, c].astype(np.intp)
             f += self._tables[c][byte * self._stride + k]
             k += _POPCOUNT[byte]
@@ -262,31 +330,47 @@ class _BlockCodec:
         # float exponent, which rounding may carry one too high
         x = f ^ self._cnk[k]
         length = np.frexp(x.astype(np.float64))[1]
-        length -= x < _POW2[length]
-        values = f & (np.maximum(_POW2[length], 1) - np.uint64(1))
-        return values, (length - 1).astype(np.int8)
+        if self._rounds:
+            length -= x < _POW2[length]
+        return f & _LOW[length], (length - 1).astype(np.int8)
 
     def encode(self, windows: np.ndarray):
-        """Encode a window array whose length is a multiple of ``n``.
+        """Encode a 0/1 window array whose length is a multiple of ``n``.
 
-        Returns (values, widths, stats), one entry per block; width -1
-        marks a k = 0 or k = n discard and width 0 a width-0 subblock.
+        Returns (values, widths, stats): fragments of 0..64 bits in
+        block order, each covering one or more blocks; discarded blocks
+        add no bits.  ``stats.windows_seen`` is left to the caller.
         """
-        n = self.n
+        n, per = self.n, self._per
         n_blocks = windows.size // n
+        packed = np.packbits(windows)
         if self._folded is None:
-            values, widths = self._encode_words(_block_words(np.packbits(windows), n, n_blocks))
+            words = _block_words(packed, n, n_blocks) & self._mask
+            live = (words != 0) & (words != self._mask)  # k = 0 and k = n emit nothing
+            if not live.all():
+                words = words[live]
+            values, widths = self._encode_words(words)
+            k_discards = n_blocks - words.size
+            alpha0 = int(np.count_nonzero(widths == 0))
         else:
-            pattern = fold_words(windows, n)
-            values, widths = self._folded[0][pattern], self._folded[1][pattern]
-        k_discards = int(np.count_nonzero(widths < 0))
+            span = n * per
+            n_index = -(-n_blocks // per)
+            if span == _SPAN:
+                packed = np.concatenate((packed, np.zeros(packed.size % 2, np.uint8)))
+                index = packed.view(">u2").astype(np.intp)
+            else:
+                index = (_block_words(packed, span, n_index) >> np.uint64(64 - span)).astype(np.intp)
+            table_values, table_widths, table_discards = self._folded
+            values, widths = table_values[index], table_widths[index]
+            discards = table_discards[index].view(np.uint8)
+            # the last index's zero padding reads as k = 0 blocks
+            k_discards = int(discards[0::2].sum()) - (per * n_index - n_blocks)
+            alpha0 = int(discards[1::2].sum())
         stats = ExtractStats(
-            windows_seen=int(windows.size),
             blocks_scanned=n_blocks,
             blocks_discarded_k0_kn=k_discards,
-            fragments_discarded_alpha0=int(np.count_nonzero(widths == 0)),
-            # each k-discard's -1 cancels against its count
-            bits_emitted=int(widths.sum(dtype=np.int64)) + k_discards,
+            fragments_discarded_alpha0=alpha0,
+            bits_emitted=int(widths.sum(dtype=np.int64)),
         )
         return values, widths, stats
 
@@ -306,7 +390,7 @@ class StreamingMerger:
     Every :meth:`feed` supplies one window chunk per channel.  Each
     channel carries its trailing partial block into the next feed, so
     the output does not depend on the chunking.  ``round-robin-block``
-    orders fragments by (block index, channel position) and needs every
+    orders blocks by (block index, channel position) and needs every
     feed to leave the channels at equal full-block counts;
     ``per-channel`` concatenates whole channels in order.  With one
     channel both policies give the plain block-order output.
@@ -319,7 +403,6 @@ class StreamingMerger:
             raise DomainError("need at least one channel")
         self._codec = _codec(block_len)
         self._remainders = [np.zeros(0, dtype=np.uint8) for _ in range(n_channels)]
-        self._blocks_done = [0] * n_channels
         # per-channel merging keeps one packer per channel until finish()
         self._packers = [BitPacker() for _ in range(n_channels if policy == "per-channel" else 1)]
         self.stats = ExtractStats()
@@ -330,27 +413,32 @@ class StreamingMerger:
                 f"expected {len(self._remainders)} channel chunks, got {len(per_channel_windows)}"
             )
         n = self._codec.n
-        fragments = []
+        streams = []
         for ch, win in enumerate(per_channel_windows):
             arr = as_bit_array(win)
-            fed = int(arr.size)
+            self.stats.windows_seen += arr.size
             if self._remainders[ch].size:
                 arr = np.concatenate([self._remainders[ch], arr])
-            usable = (arr.size // n) * n
-            values, widths, stats = self._codec.encode(arr[:usable])
-            stats.windows_seen = fed
-            self.stats.add(stats)
-            self._blocks_done[ch] += stats.blocks_scanned
+            usable = arr.size - arr.size % n
             self._remainders[ch] = arr[usable:].copy()
-            fragments.append((values, widths))
-        if len(fragments) > 1 and len(self._packers) == 1:
-            if min(self._blocks_done) != max(self._blocks_done):
+            streams.append(arr[:usable])
+        packers = self._packers
+        if len(streams) > len(packers):
+            if len({s.size for s in streams}) > 1:
                 raise DomainError("channel chunks must cover equal full-block counts")
-            # equal block counts: interleave into (block, channel) order
-            fragments = [tuple(np.stack(col, axis=1).reshape(-1) for col in zip(*fragments))]
-        for packer, (values, widths) in zip(self._packers, fragments):
-            keep = widths > 0
-            packer.add(np.compress(keep, values), np.compress(keep, widths))
+            # equal block counts: interleave into (block, channel) order, a
+            # slice at a time so that the copy stays small
+            rows = [s.reshape(-1, n) for s in streams]
+            step = -(-_INTERLEAVE // n)
+            streams = (
+                np.stack([r[lo : lo + step] for r in rows], axis=1).reshape(-1)
+                for lo in range(0, len(rows[0]), step)
+            )
+            packers = itertools.repeat(packers[0])
+        for packer, arr in zip(packers, streams):
+            values, widths, stats = self._codec.encode(arr)
+            self.stats.add(stats)
+            packer.add(*_premerge(values, widths, self._codec.levels))
 
     def finish(self) -> BitOutput:
         """Close the stream; pending partial blocks are dropped."""

@@ -29,6 +29,7 @@ regardless of chunking.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -154,25 +155,32 @@ def _resolve_afterpulses(
     most len(taps) and u < p + taps[d - 1].  That avalanche is the
     latest unconditional click, or the one carried in from earlier
     chunks, unless an earlier candidate lies after it and within reach.
+    Only the len(taps) windows before a candidate are looked at for it.
     All other candidates are settled in one vectorised step; the
     dependent ones follow in window order, one pass over just those,
     exact for chains of any length.
-    Beyond one mask, O(candidates) and the click positions, nothing
-    chunk-sized is allocated.
+    Beyond one mask and O(candidates), nothing chunk-sized is allocated.
     """
     depth = len(taps)
     near = _below(u, ceiling) if np.ndim(ceiling) else u < ceiling
     np.greater(near, clicks.view(bool), out=near)  # and no click of its own
     cand = np.flatnonzero(near)
     del near
-    # local positions of the carried-in avalanche and the unconditional clicks
-    refs = np.concatenate(([last_avalanche - start_index], np.flatnonzero(clicks.view(bool))))
-    # distance to the latest of them before each candidate; depth + 1 is out of reach
-    dist = np.minimum(cand - refs[np.searchsorted(refs, cand) - 1], depth + 1)
-    by_dist = np.array((*taps, -np.inf))  # tap at distance d; -inf never clicks
+    carried = last_avalanche - start_index  # local position, before the chunk
+    # distance to the latest unconditional or carried-in avalanche before
+    # each candidate; depth + 1 is out of reach
+    dist = np.full(cand.size, depth + 1, dtype=np.min_scalar_type(-(depth + 1)))
+    for d in range(depth, 0, -1):  # the nearest one is written last
+        hit = np.take(clicks, cand - d, mode="wrap") != 0
+        before = np.searchsorted(cand, d)  # these look back past the chunk's start
+        hit[:before] = cand[:before] - d == carried
+        dist[hit] = d
     uc = u[cand]
-    pc = np.broadcast_to(p_of(cand), cand.shape)
-    fired = uc < pc + by_dist[dist - 1]
+    pc = p_of(cand)  # a float under constant p
+    fired = np.zeros(cand.size, dtype=bool)
+    for d, tap in enumerate(taps, 1):
+        fired |= (dist == d) & (uc < pc + tap)
+    del uc
     # dependent: the previous candidate lies after the reference, within reach
     dep = np.flatnonzero(np.diff(cand) < dist[1:]) + 1
     if dep.size:
@@ -182,11 +190,12 @@ def _resolve_afterpulses(
         state = np.where(fired, 0, dist)[dep - 1]
         state[1:][dep[1:] - 1 == dep[:-1]] = -1
         gap = cand[dep] - cand[dep - 1]
-        tap_at = by_dist.tolist()
+        tap_at = [*taps, -math.inf]  # tap at distance d; -inf never clicks
+        p_dep = pc[dep].tolist() if np.ndim(pc) else itertools.repeat(pc)
         out = []
         s = 0
         for x, q, r, g, s_prev in zip(
-            uc[dep].tolist(), pc[dep].tolist(), dist[dep].tolist(), gap.tolist(), state.tolist()
+            u[cand[dep]].tolist(), p_dep, dist[dep].tolist(), gap.tolist(), state.tolist()
         ):
             if s_prev >= 0:
                 s = s_prev
@@ -196,10 +205,14 @@ def _resolve_afterpulses(
             s = 0 if x < q + tap_at[d - 1] else d
             out.append(s)
         fired[dep] = np.equal(out, 0)
-    induced = cand[fired]
-    clicks[induced] = 1
-    last = max(refs[-1], induced[-1]) if induced.size else refs[-1]
-    return start_index + int(last)
+    clicks[cand[fired]] = 1
+    # the latest avalanche, searched backwards _SPAN windows at a time
+    for hi in range(clicks.size, 0, -_SPAN):
+        lo = max(hi - _SPAN, 0)
+        hits = np.flatnonzero(clicks[lo:hi])
+        if hits.size:
+            return start_index + lo + int(hits[-1])
+    return last_avalanche
 
 
 def iter_simulate(
@@ -213,7 +226,8 @@ def iter_simulate(
     """Yield the simulated stream in chunks of at most ``chunk_windows``.
 
     Chunk boundaries do not affect the generated windows; afterpulse
-    state carries across both chunk and block boundaries.
+    state carries across both chunk and block boundaries.  The draws
+    fill one buffer, reused for every chunk; no yielded chunk shares it.
     """
     if n_windows < 0:
         raise DomainError(f"n_windows must be >= 0, got {n_windows}")
@@ -226,6 +240,7 @@ def iter_simulate(
     constant_p = None if model.modulation is not None else model.base_probability()
     start = 0
     last_avalanche = _FAR_PAST
+    buf = np.empty(min(chunk_windows, n_windows))  # the draws, refilled for every chunk
 
     def times(idx):  # the times of local windows idx of the chunk at ``start``
         return t0 + (start + idx).astype(np.float64) * period
@@ -235,7 +250,7 @@ def iter_simulate(
 
     while start < n_windows:
         count = min(chunk_windows, n_windows - start)
-        u = rng.random(count)
+        u = rng.random(out=buf[:count])
         if constant_p is None:
             lo, hi = _bound_modulated(model, times, count)
             below = _below(u, lo)

@@ -162,6 +162,20 @@ class TestExtract:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("chunk", ["0", "-8", "7"])
+    @pytest.mark.parametrize("fmt", ["ascii", "tbd1"])
+    def test_chunk_windows_must_be_positive_multiple_of_8(self, tmp_path, capsys, chunk, fmt):
+        stream = tmp_path / f"s.{fmt}"
+        run(capsys, "simulate", "--scenario", "a", "--windows", "64", "--seed", "1",
+            "--out", str(stream), "--format", fmt)
+        bits = tmp_path / "o.bin"
+        code, _, err = run(capsys, "extract", str(stream), "-N", "4",
+                           "--chunk-windows", chunk, "--out", str(bits))
+        assert code == 2
+        assert "--chunk-windows must be a positive multiple of 8" in err
+        # no output, sidecar or manifest
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(bits.name)]
+
 
 class TestAnalyze:
     def _bits_file(self, tmp_path, capsys, windows=2_000_000):

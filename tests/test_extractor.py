@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,13 @@ from timebinrng import (
     SourceModel,
 )
 from timebinrng.combinatorics import MAX_BLOCK_LEN, binary_expansion, unrank_combination
-from timebinrng.extractor import fragments_to_bit_array
+from timebinrng.extractor import (
+    _BATCH,
+    MERGE_POLICIES,
+    _codec,
+    _premerge,
+    fragments_to_bit_array,
+)
 
 from oracles import all_combinations, all_patterns, bits_of_fragment, naive_encode, pack_reference
 
@@ -228,6 +236,36 @@ class TestPackBits:
         packer.add(values[cut:], lengths[cut:])
         assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
 
+    @given(wide_fragment_lists, st.lists(st.integers(0, 40), max_size=8), st.integers(0, 48))
+    def test_zero_width_fragments_add_nothing(self, frags, spots, cut):
+        mixed = list(frags)
+        for spot in spots:
+            mixed.insert(spot, (0, 0))
+        values = np.array([v for v, _ in mixed], dtype=np.uint64)
+        lengths = np.array([w for _, w in mixed])
+        packer = BitPacker()
+        packer.add(values[:cut], lengths[:cut])
+        packer.add(values[cut:], lengths[cut:])
+        assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
+
+    def test_zero_width_fragments_at_a_word_end(self):
+        wide = (1 << 63) - 1
+        assert pack([(wide, 64), (0, 0), (0, 0)]) == pack_reference([(wide, 64)])
+        assert pack([(5, 32), (0, 0), (7, 32), (0, 0)], cuts=[2]) == pack_reference([(5, 32), (7, 32)])
+        assert pack([(0, 0)]) == (b"", 0)
+
+    def test_queued_calls_pack_like_one(self):
+        # enough fragments that some calls start a packing pass of their own
+        rng = np.random.default_rng(4)
+        widths = rng.integers(0, 65, 3 * _BATCH)
+        values = rng.integers(0, 1 << 63, widths.size, dtype=np.uint64) >> (64 - widths).astype(np.uint64)
+        values[widths == 0] = 0
+        packer = BitPacker()
+        for lo in range(0, widths.size, 5000):
+            packer.add(values[lo : lo + 5000], widths[lo : lo + 5000])
+        frags = [(int(v), int(w)) for v, w in zip(values, widths) if w]
+        assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
+
     def test_extend_appends_bits(self):
         first, second = BitPacker(), BitPacker()
         first.add(np.array([5]), np.array([3]))
@@ -327,6 +365,25 @@ class TestLargeBlocks:
             assert (out.data, out.total_bits) == pack_reference(kept)
             assert out.stats.fragments_discarded_alpha0 == len(frags) - len(kept)
 
+    def test_ranks_that_round_up_as_floats(self):
+        # f XOR C(n, k) = 2^(e+1) - 1 has more than 53 bits, so float64 rounds
+        # it up to 2^(e+1): the bit length must come out as e + 1 regardless
+        blocks = []
+        for n in range(2, MAX_BLOCK_LEN + 1):
+            for k in range(1, n):
+                c = math.comb(n, k)
+                e = c.bit_length() - 1
+                if e >= 53:
+                    rank = ((1 << e) - 1) ^ (c % (1 << e))  # in the top subblock
+                    row = np.zeros(n, dtype=np.uint8)
+                    row[np.array(unrank_combination(n, k, rank).positions) - 1] = 1
+                    blocks.append(row)
+        assert len(blocks) > 100
+        for row in blocks:
+            n = row.size
+            out = extract(DetectionStream(row), n)
+            assert (out.data, out.total_bits) == pack_reference([naive_encode(n, row.tolist())])
+
     @pytest.mark.parametrize("n", [16, 17, 24, 33, 64])
     def test_vectorized_matches_scalar(self, n):
         rng = np.random.default_rng(n)
@@ -351,3 +408,71 @@ class TestFragmentsToBitArray:
             np.array([3, 1], dtype=np.int64), np.array([2, 1], dtype=np.uint8)
         )
         assert bits.tolist() == [1, 1, 1]
+
+
+def reference_merge(chans, n, policy):
+    """Bytes, bit count and stats of a merge by the brute-force encoder."""
+    per_channel = []
+    stats = dict.fromkeys(
+        ("blocks_scanned", "blocks_discarded_k0_kn", "fragments_discarded_alpha0", "bits_emitted"), 0
+    )
+    for windows in chans:
+        blocks = windows[: windows.size - windows.size % n].reshape(-1, n).tolist()
+        frags = []
+        for block in blocks:
+            frag = naive_encode(n, block)
+            stats["blocks_scanned"] += 1
+            if frag is None:
+                key = "blocks_discarded_k0_kn" if sum(block) in (0, n) else "fragments_discarded_alpha0"
+                stats[key] += 1
+            else:
+                stats["bits_emitted"] += frag[1]
+            frags.append(frag)
+        per_channel.append(frags)
+    if policy == "round-robin-block":
+        ordered = [f for row in zip(*per_channel) for f in row]
+    else:
+        ordered = [f for frags in per_channel for f in frags]
+    data, total_bits = pack_reference([f for f in ordered if f is not None])
+    stats["windows_seen"] = sum(w.size for w in chans)
+    return data, total_bits, stats
+
+
+class TestMergerOracle:
+    """StreamingMerger against naive_encode + pack_reference: every block
+    length, 1-3 channels, both policies, cuts anywhere, empty, full and
+    random sources (empty and full blocks exercise the discard counts)."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_brute_force(self, data):
+        n = data.draw(st.integers(2, MAX_BLOCK_LEN), "n")
+        n_channels = data.draw(st.integers(1, 3), "channels")
+        policy = data.draw(st.sampled_from(MERGE_POLICIES), "policy")
+        size = data.draw(st.integers(0, 48 * n), "windows per channel")
+        p = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), "p")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=6), "cuts"))
+        rng = np.random.default_rng(seed)
+        chans = [(rng.random(size) < p).astype(np.uint8) for _ in range(n_channels)]
+        merger = StreamingMerger(n, n_channels, policy)
+        bounds = [0, *cuts, size]
+        for lo, hi in zip(bounds, bounds[1:]):
+            merger.feed([w[lo:hi] for w in chans])
+        out = merger.finish()
+        data_, total_bits, stats = reference_merge(chans, n, policy)
+        assert (out.data, out.total_bits) == (data_, total_bits)
+        assert vars(out.stats) == stats
+
+    def test_premerge_fills_whole_words(self):
+        # n = 2 has 1-bit fragments, 8 to a 16-window index; three pairwise
+        # joins reach 64 bits, exactly twice the widest 32-bit join
+        rng = np.random.default_rng(2)
+        first = rng.integers(0, 2, 64, dtype=np.uint8)
+        windows = np.stack([first, 1 - first], axis=1).ravel()  # 64 blocks with k = 1
+        codec = _codec(2)
+        values, widths, _ = codec.encode(windows)
+        values, widths = _premerge(values, widths, codec.levels)
+        assert widths.tolist() == [64]
+        out = extract(DetectionStream(windows), 2)
+        assert (out.data, out.total_bits) == pack_reference([(int(b), 1) for b in first])

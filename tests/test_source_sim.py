@@ -124,6 +124,19 @@ class TestAfterpulsing:
         sigma2 = math.sqrt(target * (1 - target) / d2.size)
         assert abs(d2.mean() - target) < 4 * sigma2
 
+    def test_memory_per_window(self):
+        # a candidate looks back over len(taps) windows only: no array of
+        # click positions, which took 16 B per click
+        model = SourceModel(mean_photons=math.log(2.0), afterpulse_taps=(0.1, 0.05))
+        n = 1 << 22
+        tracemalloc.start()
+        try:
+            next(iter_simulate(model, n, seed=1, chunk_windows=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 12.0  # u (8 B), clicks, one mask, O(candidates); 18 B with positions
+
     def test_zero_taps_equal_no_taps(self):
         base = SourceModel(mean_photons=math.log(2.0))
         tapped = SourceModel(mean_photons=math.log(2.0), afterpulse_taps=(0.0, 0.0))
