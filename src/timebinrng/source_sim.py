@@ -25,12 +25,29 @@ Streams are reproducible: window i consumes exactly the i-th uniform
 draw of a PCG64 generator seeded with SeedSequence([seed, channel_id]),
 so a stream is fully determined by (model, n_windows, seed, channel_id)
 regardless of chunking.
+
+A large chunk is cut into contiguous slices, one per core this process
+may run on, at multiples of the 4,096-window sub-interval.  Each slice
+draws from its own generator, seeded the same way and kept from chunk
+to chunk; ``PCG64.advance`` (about a microsecond) moves it on to the
+slice's first window, so window i still takes the i-th draw and the
+stream is the same on any number of cores.  The calling thread draws
+slice 0 and a pool of threads, built on first use, the others.  A slice
+only draws, thresholds against bounds computed beforehand and finds the
+positions of its close calls and afterpulse candidates.  Everything
+that evaluates p, resolves afterpulses or carries state from chunk to
+chunk runs on the calling thread, and every slice has ended before the
+chunk is resolved and yielded.  A slice has at least 2^18 windows:
+waking an idle core costs more than half the draws of a 2^16-window
+chunk save, so small chunks, like those of a live 2^16-window loop,
+stay on one thread and build no pool.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,6 +63,9 @@ _FAR_PAST = -(1 << 62)
 
 _SPAN = 4096  # windows per sub-interval over which a modulated p is bounded
 _SLACK = 1e-9  # absolute margin of that bound, far above the rounding in t, w*t and sin
+_MIN_SLICE = 1 << 18  # fewest windows a chunk is sliced into for another thread
+
+_pool = None  # threads that draw slices 1 and up; see _executor
 
 
 @dataclass(frozen=True)
@@ -104,9 +124,12 @@ def click_probability(model: SourceModel, t: float = 0.0):
     return model.base_probability()
 
 
-def _below(u: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """u < bound[j] for every window of the j-th sub-interval, as a bool array."""
-    out = np.empty(u.size, dtype=bool)
+def _below(u: np.ndarray, bound, out: np.ndarray | None = None) -> np.ndarray:
+    """u < bound as a bool array: ``bound`` is a float, or one value per sub-interval of u."""
+    if out is None:
+        out = np.empty(u.size, dtype=bool)
+    if not isinstance(bound, np.ndarray):
+        return np.less(u, bound, out=out)
     full = u.size - u.size % _SPAN
     np.less(
         u[:full].reshape(-1, _SPAN),
@@ -137,7 +160,7 @@ def _bound_modulated(model: SourceModel, times, count: int):
 def _resolve_afterpulses(
     clicks: np.ndarray,
     u: np.ndarray,
-    ceiling: np.ndarray | float,
+    cand: np.ndarray,
     p_of,
     taps: tuple[float, ...],
     start_index: int,
@@ -146,11 +169,13 @@ def _resolve_afterpulses(
     """Add tap-induced clicks in place; returns the new last-avalanche index.
 
     Only a candidate, a window that did not click on its own and has
-    u < p + max(taps), can change state.  ``ceiling`` is at least
-    p + max(taps) at every window: a float, or one value per
-    sub-interval of p.  Windows under it that are no candidates never
-    click and so change nothing.  ``p_of(idx)`` gives p at local
-    indices, so p is evaluated at those windows only.  A candidate
+    u < p + max(taps), can change state.  ``cand`` gives, in ascending
+    order, the local positions of every candidate, and maybe of windows
+    that change nothing: those at or above p + max(taps), and close calls
+    of a modulated p that clicked on their own.  Such a click is the
+    nearest avalanche of every later candidate within reach, so none of
+    them depends on it.  ``p_of(idx)`` gives p at local indices, so p is
+    evaluated at those windows only.  A candidate
     clicks when its distance d to the latest avalanche before it is at
     most len(taps) and u < p + taps[d - 1].  That avalanche is the
     latest unconditional click, or the one carried in from earlier
@@ -159,14 +184,11 @@ def _resolve_afterpulses(
     All other candidates are settled in one vectorised step; the
     dependent ones follow in window order, one pass over just those,
     exact for chains of any length.
-    Beyond one mask and O(candidates), nothing chunk-sized is allocated.
+    Beyond O(candidates), nothing chunk-sized is allocated.
     """
     depth = len(taps)
-    near = _below(u, ceiling) if np.ndim(ceiling) else u < ceiling
-    np.greater(near, clicks.view(bool), out=near)  # and no click of its own
-    cand = np.flatnonzero(near)
-    del near
-    carried = last_avalanche - start_index  # local position, before the chunk
+    # local position, before the chunk; one further back than depth is out of reach
+    carried = max(last_avalanche - start_index, -depth - 1)
     # distance to the latest unconditional or carried-in avalanche before
     # each candidate; depth + 1 is out of reach
     dist = np.full(cand.size, depth + 1, dtype=np.min_scalar_type(-(depth + 1)))
@@ -215,6 +237,84 @@ def _resolve_afterpulses(
     return last_avalanche
 
 
+def _slice_threads() -> int:
+    """Threads a chunk's slices may run on, the calling one included."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _executor(workers: int):
+    """The thread pool for slices 1 and up, built on first use."""
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import, so not at start
+
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="timebinrng-slice")
+    return _pool
+
+
+def _cuts(count: int, threads: int) -> list[int]:
+    """Slice edges of a chunk: multiples of _SPAN, _MIN_SLICE windows or more per slice."""
+    k = min(threads, count // _MIN_SLICE)
+    if k < 2:
+        return [0, count]
+    return [count * j // k // _SPAN * _SPAN for j in range(k)] + [count]
+
+
+def _part(bound, a: int, b: int):
+    """The bounds of windows a..b of a chunk, a a multiple of _SPAN."""
+    return bound[a // _SPAN : -(-b // _SPAN)] if isinstance(bound, np.ndarray) else bound
+
+
+def _positions(mask: np.ndarray, first: int, dtype) -> np.ndarray:
+    """Chunk positions of the set windows of a slice that starts at ``first``."""
+    idx = np.flatnonzero(mask)
+    idx += first
+    return idx.astype(dtype, copy=False)
+
+
+def _draw_slice(rng, u, below, lo, hi, ceiling, first, dtype):
+    """Draw and threshold windows ``first``.. of a chunk, whose draws are ``u``.
+
+    Writes u < lo into ``below``.  Returns the chunk positions of the
+    draws too close to call, lo <= u < hi (None without ``hi``, under a
+    constant p), and, with a ``ceiling``, those of the draws under it
+    and not under lo (else None).  Evaluates no p.
+    """
+    rng.random(out=u)
+    _below(u, lo, out=below)
+    close = near = mask = None
+    if hi is not None:
+        mask = _below(u, hi)
+        mask ^= below
+        close = _positions(mask, first, dtype)
+    if ceiling is not None:
+        mask = _below(u, ceiling, out=mask)
+        np.greater(mask, below, out=mask)
+        near = _positions(mask, first, dtype)
+    return close, near
+
+
+def _run_slices(jobs: list[tuple], threads: int) -> list[tuple]:
+    """_draw_slice for every job, the first on this thread; all have ended on return."""
+    if len(jobs) == 1:
+        return [_draw_slice(*jobs[0])]
+    pool = _executor(threads - 1)
+    futures = [pool.submit(_draw_slice, *job) for job in jobs[1:]]
+    try:
+        first = _draw_slice(*jobs[0])
+    finally:
+        for f in futures:
+            f.exception()  # waits; a slice's error is raised below
+    return [first, *(f.result() for f in futures)]
+
+
+def _joined(parts) -> np.ndarray | None:
+    return parts[0] if len(parts) == 1 or parts[0] is None else np.concatenate(parts)
+
+
 def iter_simulate(
     model: SourceModel,
     n_windows: int,
@@ -228,45 +328,65 @@ def iter_simulate(
     Chunk boundaries do not affect the generated windows; afterpulse
     state carries across both chunk and block boundaries.  The draws
     fill one buffer, reused for every chunk; no yielded chunk shares it.
+    A chunk of at least twice _MIN_SLICE windows is drawn and
+    thresholded in slices on several threads; every slice has ended
+    before the chunk is yielded, and p is only evaluated on the calling
+    thread.
     """
     if n_windows < 0:
         raise DomainError(f"n_windows must be >= 0, got {n_windows}")
     if chunk_windows < 1:
         raise DomainError(f"chunk_windows must be >= 1, got {chunk_windows}")
     check_finite("t0", t0)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, channel_id])))
+    seeds = np.random.SeedSequence([seed, channel_id])
+    rngs = []  # one generator per slice, reused by the same slice of every chunk
+    drawn = []  # the window each generator draws next
+    threads = _slice_threads()
     taps = model.afterpulse_taps
     period = model.window_period
     constant_p = None if model.modulation is not None else model.base_probability()
     start = 0
     last_avalanche = _FAR_PAST
     buf = np.empty(min(chunk_windows, n_windows))  # the draws, refilled for every chunk
+    dtype = np.int32 if buf.size <= np.iinfo(np.int32).max else np.intp  # of positions
 
     def times(idx):  # the times of local windows idx of the chunk at ``start``
-        return t0 + (start + idx).astype(np.float64) * period
+        return t0 + (start + idx.astype(np.int64)).astype(np.float64) * period
 
     def p_of(idx):  # p at local windows idx, bit for bit as over the whole chunk
         return constant_p if constant_p is not None else click_probability(model, times(idx))
 
     while start < n_windows:
         count = min(chunk_windows, n_windows - start)
-        u = rng.random(out=buf[:count])
+        u = buf[:count]
         if constant_p is None:
             lo, hi = _bound_modulated(model, times, count)
-            below = _below(u, lo)
-            close = _below(u, hi)
-            close ^= below  # lo <= u < hi: too close to call
-            idx = np.flatnonzero(close)
-            del close
-            below[idx] = u[idx] < p_of(idx)
-            clicks = below.view(np.uint8)
-            ceiling = hi
+            ceiling = hi + max(taps) if taps else None
         else:
-            clicks = (u < constant_p).view(np.uint8)
-            ceiling = constant_p
+            lo, hi = constant_p, None
+            ceiling = constant_p + max(taps) if taps else None
+        below = np.empty(count, dtype=bool)
+        cuts = _cuts(count, threads)
+        # int32 positions of several slices join in half the memory; one slice's are not joined
+        position = np.intp if len(cuts) == 2 else dtype
+        jobs = []
+        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            if k == len(rngs):
+                rngs.append(np.random.Generator(np.random.PCG64(seeds)))
+                drawn.append(0)
+            if start + a > drawn[k]:  # window i takes the generator's i-th draw
+                rngs[k].bit_generator.advance(start + a - drawn[k])
+            drawn[k] = start + b
+            parts = (_part(bound, a, b) for bound in (lo, hi, ceiling))
+            jobs.append((rngs[k], u[a:b], below[a:b], *parts, a, position))
+        closes, nears = zip(*_run_slices(jobs, threads))
+        idx = _joined(closes)
+        if idx is not None:
+            below[idx] = u[idx] < p_of(idx)
+        clicks = below.view(np.uint8)
         if taps:
             last_avalanche = _resolve_afterpulses(
-                clicks, u, ceiling + max(taps), p_of, taps, start, last_avalanche
+                clicks, u, _joined(nears), p_of, taps, start, last_avalanche
             )
         yield clicks
         start += count

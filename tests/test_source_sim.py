@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -270,6 +274,88 @@ class TestModulationBound:
         (model,) = preset("a")
         with pytest.raises(DomainError, match="t0"):
             next(iter_simulate(model, 100, seed=1, t0=t0))
+
+
+@contextmanager
+def sliced(threads, min_slice=source_sim._SPAN):
+    """Cut every chunk into up to ``threads`` slices of at least ``min_slice`` windows."""
+    with mock.patch.object(source_sim, "_slice_threads", lambda: threads), \
+            mock.patch.object(source_sim, "_MIN_SLICE", min_slice):
+        yield
+
+
+def thread_recorder(fn, seen):
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return fn(*args, **kwargs)
+
+    return recording
+
+
+class TestSlices:
+    """Slices of a chunk draw on other threads from generators advanced to them."""
+
+    @given(st.data())
+    def test_matches_whole_array_reference(self, data):
+        threads = data.draw(st.integers(1, 4), "threads")
+        if data.draw(st.booleans(), "modulated"):
+            omega = data.draw(st.sampled_from([0.1 * math.pi, 3e3, 3e5]), "omega")
+            model = SourceModel(modulation=ModulationProfile(0.4, 0.3, omega, 1.0))
+        else:
+            model = SourceModel(mean_photons=-math.log1p(-data.draw(st.floats(0.0, 0.6), "p")))
+        room = 1.0 - model.peak_probability()
+        shares = data.draw(st.lists(st.floats(0.0, 0.99), max_size=3), "taps")
+        model = SourceModel(**{**vars(model), "afterpulse_taps": tuple(room * t for t in shares)})
+        n = data.draw(st.integers(1, 12 * source_sim._SPAN), "windows")
+        # most chunk lengths are no multiple of 4,096, so a chunk's last slice is ragged
+        chunk = data.draw(st.integers(max(1, n // 5), n), "chunk")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        with sliced(threads):
+            got = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=chunk)))
+        assert np.array_equal(got, simulate_reference(model, n, seed))
+
+    def test_cuts(self):
+        with sliced(3):
+            assert source_sim._cuts(3 * 4096 - 1, 3) == [0, 4096, 12287]  # two slices fit
+            assert source_sim._cuts(3 * 4096, 3) == [0, 4096, 8192, 12288]
+            assert source_sim._cuts(10**6, 3) == [0, 331776, 663552, 10**6]
+        assert source_sim._cuts(1 << 19, 1) == [0, 1 << 19]
+        assert source_sim._cuts((1 << 19) - 1, 8) == [0, (1 << 19) - 1]  # 2^18 or more per slice
+
+    def test_p_and_resolve_run_on_the_iterating_thread(self):
+        model = SourceModel(
+            modulation=ModulationProfile(0.4, 0.3, 3e3, 1.0), afterpulse_taps=(0.1, 0.05)
+        )
+        n = 1 << 16
+        seen, drawn = [], []
+        with sliced(4), \
+                mock.patch.object(ModulationProfile, "p_at", thread_recorder(ModulationProfile.p_at, seen)), \
+                mock.patch.object(source_sim, "_resolve_afterpulses",
+                                  thread_recorder(source_sim._resolve_afterpulses, seen)), \
+                mock.patch.object(source_sim, "_draw_slice",
+                                  thread_recorder(source_sim._draw_slice, drawn)):
+            got = np.concatenate(list(iter_simulate(model, n, seed=6, chunk_windows=n // 2)))
+        assert np.array_equal(got, simulate_reference(model, n, seed=6))
+        assert seen and set(seen) == {threading.get_ident()}
+        assert len(drawn) == 8 and len(set(drawn)) > 1  # the slices did run elsewhere
+
+    def test_no_pool_on_one_thread(self):
+        model = preset("c")[0]
+        with sliced(1), mock.patch.object(source_sim, "_pool", None):
+            for _ in iter_simulate(model, 1 << 20, seed=1):
+                pass
+            assert source_sim._pool is None
+
+    def test_small_chunks_import_no_pool(self):
+        # 2^16-window chunks are never sliced, whatever the number of cores
+        code = (
+            "import sys; from timebinrng import cli, source_sim as s\n"
+            "for c in s.iter_simulate(s.preset('a')[0], 1 << 20, 1, chunk_windows=1 << 16): pass\n"
+            "assert 'concurrent.futures' not in sys.modules, 'imported'"
+        )
+        src = os.path.dirname(os.path.dirname(source_sim.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestSinIsBitwiseStable:
