@@ -41,7 +41,7 @@ from .extractor import (
 from .source_sim import GENERATOR_TAG, SCENARIOS, SourceModel, iter_simulate, preset
 from . import streamio
 
-_DEFAULT_CHUNK = 1 << 24
+_DEFAULT_CHUNK = 1 << 20  # windows per chunk: 8 MiB of draws while simulating
 
 
 # ---------------------------------------------------------------------------
