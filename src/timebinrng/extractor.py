@@ -413,19 +413,20 @@ class StreamingMerger:
                 f"expected {len(self._remainders)} channel chunks, got {len(per_channel_windows)}"
             )
         n = self._codec.n
-        streams = []
-        for ch, win in enumerate(per_channel_windows):
-            arr = as_bit_array(win)
-            self.stats.windows_seen += arr.size
-            if self._remainders[ch].size:
-                arr = np.concatenate([self._remainders[ch], arr])
-            usable = arr.size - arr.size % n
-            self._remainders[ch] = arr[usable:].copy()
-            streams.append(arr[:usable])
+        chunks = [as_bit_array(win) for win in per_channel_windows]
+        joined = [
+            np.concatenate([rem, arr]) if rem.size else arr
+            for rem, arr in zip(self._remainders, chunks)
+        ]
+        usable = [arr.size - arr.size % n for arr in joined]
         packers = self._packers
-        if len(streams) > len(packers):
-            if len({s.size for s in streams}) > 1:
-                raise DomainError("channel chunks must cover equal full-block counts")
+        round_robin = len(joined) > len(packers)
+        if round_robin and len(set(usable)) > 1:  # before any state changes
+            raise DomainError("channel chunks must cover equal full-block counts")
+        self.stats.windows_seen += sum(arr.size for arr in chunks)
+        self._remainders = [arr[u:].copy() for arr, u in zip(joined, usable)]
+        streams = [arr[:u] for arr, u in zip(joined, usable)]
+        if round_robin:
             # equal block counts: interleave into (block, channel) order, a
             # slice at a time so that the copy stays small
             rows = [s.reshape(-1, n) for s in streams]

@@ -340,6 +340,24 @@ class TestStreamingMerger:
             assert streamed.total_bits == one_shot.total_bits
             assert streamed.stats == one_shot.stats
 
+    def test_unequal_feed_changes_nothing(self):
+        rng = np.random.default_rng(5)
+        chans = [(rng.random(30) < 0.5).astype(np.uint8) for _ in range(2)]
+        merger = StreamingMerger(4, 2)
+        merger.feed([w[:6] for w in chans])  # leaves a 2-window remainder in each channel
+        before = (merger.stats.windows_seen, [r.copy() for r in merger._remainders])
+        with pytest.raises(DomainError, match="equal full-block"):
+            merger.feed([chans[0][6:14], chans[1][6:10]])  # 2 full blocks against 1
+        assert merger.stats.windows_seen == before[0] == 12
+        assert all(np.array_equal(r, b) for r, b in zip(merger._remainders, before[1]))
+        merger.feed([w[6:] for w in chans])
+        fresh = StreamingMerger(4, 2)
+        fresh.feed(chans)
+        got, expected = merger.finish(), fresh.finish()
+        assert (got.data, got.total_bits, got.stats) == (
+            expected.data, expected.total_bits, expected.stats
+        )
+
 
 class TestLargeBlocks:
     """Every block length's subblock edges, and block lengths above 16, which

@@ -6,7 +6,9 @@ merge policy), so these digests must survive every refactor.  A digest
 may change only together with a new ``GENERATOR_TAG`` or stream format
 magic, and the change is recorded in CHANGES.md.
 
-Each case runs in two chunkings, which must give the same digest.
+Each case runs in two chunkings, which must give the same digest, and
+each simulate case once more with its chunk drawn in slices on other
+threads.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import json
 import math
 from dataclasses import asdict
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from timebinrng import (
     iter_simulate,
     preset,
 )
-from timebinrng import streamio
+from timebinrng import source_sim, streamio
 from timebinrng.cli import main
 from timebinrng.source_sim import LIT_MODULATION
 
@@ -140,6 +143,17 @@ def test_simulate(source, channel, chunk):
     model = _models(source)[channel]
     parts = iter_simulate(model, WINDOWS, SEED, chunk_windows=chunk, channel_id=channel)
     assert _sha(np.concatenate(list(parts)).tobytes()) == SIMULATE[source, channel]
+
+
+@pytest.mark.parametrize("threads", (2, 3))
+@pytest.mark.parametrize("source, channel", sorted(SIMULATE))
+def test_simulate_in_slices(source, channel, threads):
+    # the chunk cut into slices of at least 4,096 windows, drawn on other threads
+    model = _models(source)[channel]
+    with mock.patch.object(source_sim, "_slice_threads", lambda: threads), \
+            mock.patch.object(source_sim, "_MIN_SLICE", 4096):
+        parts = iter_simulate(model, WINDOWS, SEED, channel_id=channel)
+        assert _sha(np.concatenate(list(parts)).tobytes()) == SIMULATE[source, channel]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
