@@ -36,8 +36,9 @@ slice 0 and a pool of threads, built on first use, the others.  A slice
 only draws, thresholds against bounds computed beforehand and finds the
 positions of its close calls and afterpulse candidates.  Everything
 that evaluates p, resolves afterpulses or carries state from chunk to
-chunk runs on the calling thread, and every slice has ended before the
-chunk is resolved and yielded.  A slice has at least 2^18 windows:
+chunk runs on the calling thread, so a wrapper around those functions,
+such as a span tracer, sees one thread; every slice has ended before
+the chunk is resolved and yielded.  A slice has at least 2^18 windows:
 waking an idle core costs more than half the draws of a 2^16-window
 chunk save, so small chunks, like those of a live 2^16-window loop,
 stay on one thread and build no pool.
@@ -65,7 +66,7 @@ _SPAN = 4096  # windows per sub-interval over which a modulated p is bounded
 _SLACK = 1e-9  # absolute margin of that bound, far above the rounding in t, w*t and sin
 _MIN_SLICE = 1 << 18  # fewest windows a chunk is sliced into for another thread
 
-_pool = None  # threads that draw slices 1 and up; see _executor
+_pool = None  # threads for slices 1 and up, shared by all streams as the cores are; see _executor
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,9 @@ def _part(bound, a: int, b: int):
 def _positions(mask: np.ndarray, first: int, dtype) -> np.ndarray:
     """Chunk positions of the set windows of a slice that starts at ``first``."""
     idx = np.flatnonzero(mask)
-    idx += first
-    return idx.astype(dtype, copy=False)
+    if first:
+        idx += first
+    return idx if dtype is np.intp else idx.astype(dtype)
 
 
 def _draw_slice(rng, u, below, lo, hi, ceiling, first, dtype):
@@ -299,8 +301,6 @@ def _draw_slice(rng, u, below, lo, hi, ceiling, first, dtype):
 
 def _run_slices(jobs: list[tuple], threads: int) -> list[tuple]:
     """_draw_slice for every job, the first on this thread; all have ended on return."""
-    if len(jobs) == 1:
-        return [_draw_slice(*jobs[0])]
     pool = _executor(threads - 1)
     futures = [pool.submit(_draw_slice, *job) for job in jobs[1:]]
     try:
@@ -348,13 +348,23 @@ def iter_simulate(
     start = 0
     last_avalanche = _FAR_PAST
     buf = np.empty(min(chunk_windows, n_windows))  # the draws, refilled for every chunk
-    dtype = np.int32 if buf.size <= np.iinfo(np.int32).max else np.intp  # of positions
+    # positions of several slices are joined, int32 in half the memory
+    dtype = np.int32 if buf.size <= np.iinfo(np.int32).max else np.intp
 
     def times(idx):  # the times of local windows idx of the chunk at ``start``
-        return t0 + (start + idx.astype(np.int64)).astype(np.float64) * period
+        return t0 + np.add(idx, start, dtype=np.int64).astype(np.float64) * period
 
     def p_of(idx):  # p at local windows idx, bit for bit as over the whole chunk
         return constant_p if constant_p is not None else click_probability(model, times(idx))
+
+    def moved(k, a, b):  # slice k's generator, at window a of the chunk, to draw up to b
+        if k == len(rngs):
+            rngs.append(np.random.Generator(np.random.PCG64(seeds)))
+            drawn.append(0)
+        if start + a > drawn[k]:  # window i takes the generator's i-th draw
+            rngs[k].bit_generator.advance(start + a - drawn[k])
+        drawn[k] = start + b
+        return rngs[k]
 
     while start < n_windows:
         count = min(chunk_windows, n_windows - start)
@@ -367,19 +377,15 @@ def iter_simulate(
             ceiling = constant_p + max(taps) if taps else None
         below = np.empty(count, dtype=bool)
         cuts = _cuts(count, threads)
-        # int32 positions of several slices join in half the memory; one slice's are not joined
-        position = np.intp if len(cuts) == 2 else dtype
-        jobs = []
-        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            if k == len(rngs):
-                rngs.append(np.random.Generator(np.random.PCG64(seeds)))
-                drawn.append(0)
-            if start + a > drawn[k]:  # window i takes the generator's i-th draw
-                rngs[k].bit_generator.advance(start + a - drawn[k])
-            drawn[k] = start + b
-            parts = (_part(bound, a, b) for bound in (lo, hi, ceiling))
-            jobs.append((rngs[k], u[a:b], below[a:b], *parts, a, position))
-        closes, nears = zip(*_run_slices(jobs, threads))
+        if len(cuts) == 2:  # one slice: no views, no jobs, positions not joined
+            results = [_draw_slice(moved(0, 0, count), u, below, lo, hi, ceiling, 0, np.intp)]
+        else:
+            results = _run_slices([
+                (moved(k, a, b), u[a:b], below[a:b],
+                 _part(lo, a, b), _part(hi, a, b), _part(ceiling, a, b), a, dtype)
+                for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+            ], threads)
+        closes, nears = zip(*results)
         idx = _joined(closes)
         if idx is not None:
             below[idx] = u[idx] < p_of(idx)
