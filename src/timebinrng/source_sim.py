@@ -256,6 +256,16 @@ def _executor(workers: int):
     return _pool
 
 
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _cuts(count: int, threads: int) -> list[int]:
     """Slice edges of a chunk: multiples of _SPAN, _MIN_SLICE windows or more per slice."""
     k = min(threads, count // _MIN_SLICE)

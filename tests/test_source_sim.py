@@ -361,6 +361,27 @@ class TestSlices:
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_builds_its_own_pool(self):
+        # the child inherits the parent's pool object but none of its threads,
+        # so a slice submitted there would wait for ever
+        code = (
+            "import os, signal, sys; from timebinrng import source_sim as s\n"
+            "s._slice_threads = lambda: 2; s._MIN_SLICE = 4096\n"
+            "m = s.preset('c')[0]\n"
+            "first = list(s.iter_simulate(m, 1 << 14, 1))\n"
+            "assert s._pool is not None\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)\n"
+            "    again = list(s.iter_simulate(m, 1 << 14, 1))\n"
+            "    os._exit(0 if all((a == b).all() for a, b in zip(first, again)) else 3)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
+        )
+        src = os.path.dirname(os.path.dirname(source_sim.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
 
 class TestSinIsBitwiseStable:
     """np.sin gives an element the same bits in a full, offset or gathered array.
