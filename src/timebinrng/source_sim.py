@@ -66,7 +66,7 @@ _SPAN = 4096  # windows per sub-interval over which a modulated p is bounded
 _SLACK = 1e-9  # absolute margin of that bound, far above the rounding in t, w*t and sin
 _MIN_SLICE = 1 << 18  # fewest windows a chunk is sliced into for another thread
 
-_pool = None  # threads for slices 1 and up, shared by all streams as the cores are; see _executor
+_pool = None  # threads for slices 1 and up, shared by all streams as the cores are
 
 
 @dataclass(frozen=True)
@@ -246,16 +246,6 @@ def _slice_threads() -> int:
         return os.cpu_count() or 1
 
 
-def _executor(workers: int):
-    """The thread pool for slices 1 and up, built on first use."""
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # 7-11 ms to import, so not at start
-
-        _pool = ThreadPoolExecutor(workers, thread_name_prefix="timebinrng-slice")
-    return _pool
-
-
 def _forget_pool() -> None:
     """In a forked child: the parent's pool threads do not exist there."""
     global _pool
@@ -311,8 +301,12 @@ def _draw_slice(rng, u, below, lo, hi, ceiling, first, dtype):
 
 def _run_slices(jobs: list[tuple], threads: int) -> list[tuple]:
     """_draw_slice for every job, the first on this thread; all have ended on return."""
-    pool = _executor(threads - 1)
-    futures = [pool.submit(_draw_slice, *job) for job in jobs[1:]]
+    global _pool
+    if _pool is None:  # built on first use: concurrent.futures takes 7-11 ms to import
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="timebinrng-slice")
+    futures = [_pool.submit(_draw_slice, *job) for job in jobs[1:]]
     try:
         first = _draw_slice(*jobs[0])
     finally:

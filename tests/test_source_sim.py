@@ -277,11 +277,18 @@ class TestModulationBound:
 
 
 @contextmanager
-def sliced(threads, min_slice=source_sim._SPAN):
-    """Cut every chunk into up to ``threads`` slices of at least ``min_slice`` windows."""
+def sliced(threads):
+    """Cut every chunk into up to ``threads`` slices of at least 4,096 windows."""
     with mock.patch.object(source_sim, "_slice_threads", lambda: threads), \
-            mock.patch.object(source_sim, "_MIN_SLICE", min_slice):
+            mock.patch.object(source_sim, "_MIN_SLICE", source_sim._SPAN):
         yield
+
+
+def run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this copy of the package."""
+    src = os.path.dirname(os.path.dirname(source_sim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def thread_recorder(fn, seen):
@@ -357,9 +364,7 @@ class TestSlices:
             "for c in s.iter_simulate(s.preset('a')[0], 1 << 20, 1, chunk_windows=1 << 16): pass\n"
             "assert 'concurrent.futures' not in sys.modules, 'imported'"
         )
-        src = os.path.dirname(os.path.dirname(source_sim.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        run_python(code)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_builds_its_own_pool(self):
@@ -378,9 +383,7 @@ class TestSlices:
             "    os._exit(0 if all((a == b).all() for a, b in zip(first, again)) else 3)\n"
             "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
         )
-        src = os.path.dirname(os.path.dirname(source_sim.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+        run_python(code)
 
 
 class TestSinIsBitwiseStable:
