@@ -42,6 +42,7 @@ from .source_sim import GENERATOR_TAG, SCENARIOS, SourceModel, iter_simulate, pr
 from . import streamio
 
 _DEFAULT_CHUNK = 1 << 20  # windows per chunk: 8 MiB of draws while simulating
+_MAX_RANGE = 10**6  # values an efficiency range may select, far more than any table needs
 
 
 # ---------------------------------------------------------------------------
@@ -117,35 +118,41 @@ def _write_manifest(primary_out: str, argv: list[str], command: str, outputs: li
     streamio.write_json(str(primary_out) + ".manifest.json", manifest)
 
 
-def _parse_float_pi(text: str) -> float:
+def _parse_number(text: str, kind: str = "float"):
+    """An int, or a float that may end in ``pi``; kind is 'int' or 'float'."""
     text = text.strip()
-    if text.endswith("pi"):
-        return float(text[:-2] or "1") * math.pi
-    return float(text)
+    try:
+        if kind == "int":
+            return int(text)
+        return float(text[:-2] or "1") * math.pi if text.endswith("pi") else float(text)
+    except ValueError:
+        raise DomainError(f"not {'an integer' if kind == 'int' else 'a number'}: {text!r}") from None
 
 
 def _parse_range(text: str, kind: str):
     """`4`, `2..8`, `2..8:2`, or comma lists; kind is 'int' or 'float'."""
-    conv = int if kind == "int" else _parse_float_pi
     if "," in text:
-        return [conv(s) for s in text.split(",") if s]
-    if ".." in text:
-        lo_s, rest = text.split("..", 1)
-        if ":" in rest:
-            hi_s, step_s = rest.split(":", 1)
-            step = conv(step_s)
-        else:
-            hi_s, step = rest, conv("1") if kind == "int" else None
-        if step is None:
+        out = [_parse_number(s, kind) for s in text.split(",") if s]
+    elif ".." in text:
+        lo_s, _, rest = text.partition("..")
+        hi_s, colon, step_s = rest.partition(":")
+        if not colon and kind == "float":
             raise DomainError(f"float range {text!r} needs an explicit :step")
-        lo, hi = conv(lo_s), conv(hi_s)
+        lo, hi, step = (_parse_number(s, kind) for s in (lo_s, hi_s, step_s if colon else "1"))
+        if not (step > 0 and all(map(math.isfinite, (lo, hi, step)))):
+            raise DomainError(f"range {text!r} needs finite ends and a step > 0")
+        if (hi - lo) / step >= _MAX_RANGE:
+            raise DomainError(f"range {text!r} selects more than {_MAX_RANGE} values")
         out = []
         v = lo
         while v <= hi + (1e-12 if kind == "float" else 0):
             out.append(v if kind == "int" else round(v, 12))
             v += step
-        return out
-    return [conv(text)]
+    else:
+        out = [_parse_number(text, kind)]
+    if not out:
+        raise DomainError(f"range {text!r} selects nothing")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +166,13 @@ def _cmd_simulate(args, argv: list[str]) -> int:
     else:
         models = _load_models(args.model_file)
         scenario = None
+    if args.format == "tbd1":  # no channel is written unless every header can hold its period
+        for model in models:
+            streamio.check_period_ns(model.window_period * 1e9)
     outputs = []
     for channel, model in enumerate(models):
         out_path = _channel_path(args.out, channel, len(models))
         outputs.append(str(out_path))
-        period_ns = int(round(model.window_period * 1e9))
         chunks = iter_simulate(
             model,
             args.windows,
@@ -173,7 +182,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
             t0=args.t0,
         )
         if args.format == "tbd1":
-            with streamio.StreamWriter(out_path, period_ns, channel) as writer:
+            with streamio.StreamWriter(out_path, model.window_period * 1e9, channel) as writer:
                 for chunk in chunks:
                     writer.write(chunk)
         else:
@@ -368,28 +377,25 @@ def _cmd_analyze(args, argv: list[str]) -> int:
 # efficiency
 
 
+_PROFILE_ALIASES = {"amp": "amplitude", "omega": "angular_frequency", "t": "duration"}
+
+
 def _parse_profile(text: str) -> ModulationProfile:
-    fields = {}
+    kwargs = {}
     for part in text.split(","):
         if not part:
             continue
-        key, _, value = part.partition("=")
-        fields[key.strip()] = _parse_float_pi(value)
-    aliases = {
-        "base": "base",
-        "amp": "amplitude",
-        "amplitude": "amplitude",
-        "omega": "angular_frequency",
-        "angular_frequency": "angular_frequency",
-        "t": "duration",
-        "duration": "duration",
-    }
-    kwargs = {}
-    for key, value in fields.items():
-        name = aliases.get(key.lower())
-        if name is None:
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq:
+            raise DomainError(f"profile part {part!r} is not key=value")
+        name = _PROFILE_ALIASES.get(key.lower(), key.lower())
+        if name not in _MODULATION_KEYS:
             raise DomainError(f"unknown profile key {key!r}")
-        kwargs[name] = value
+        kwargs[name] = _parse_number(value)
+    missing = _MODULATION_KEYS - kwargs.keys()
+    if missing:
+        raise DomainError(f"profile needs {', '.join(sorted(missing))}")
     return ModulationProfile(**kwargs)
 
 

@@ -3,21 +3,22 @@
 A gate window clicks when the Poisson photon/dark-carrier count behind
 it is nonzero: p = 1 - exp(-eta * (light + dark)).  An optional slow
 sinusoidal modulation drives the click probability directly, standing
-in for intensity or temperature drift.  The drift is slow: p moves
-by about 4e-4 over 4,096 windows of the lit scenarios.  So a modulated
-chunk evaluates p only at the two end windows of each 4,096-window
-sub-interval and bounds it in between by the Lipschitz constant
-|amplitude * angular_frequency| plus a small absolute slack.  A draw
-below the bound clicks, one at or above it does not, and only the
-draws in between (about 0.1%) get p evaluated, with the same
+in for intensity or temperature drift, and afterpulsing adds
+``taps[d-1]`` to it at the d-th gate after the most recent avalanche,
+for d up to the tap list length.  Each chunk has bounds lo and top: a
+draw below lo clicks, one at or above top cannot, and only the
+undecided draws in between get p evaluated, once each, with the same
 expression as for the whole chunk, so the stream is exactly the one
-the full evaluation gives.  Afterpulsing adds ``taps[d-1]`` to the
-click probability of the d-th gate after the most recent avalanche,
-for d up to the tap list length.  Each chunk's afterpulses are
-resolved exactly and mostly vectorised: only windows with
-p <= u < p + max(taps) can change state, most of them are settled by
-the latest unconditional click alone, and the rest, which wait on an
-earlier tap-induced click, take one pass over just those windows.
+the full evaluation gives.  A constant p is lo, and top is
+p + max(taps), or absent without taps.  A modulated p moves by about
+4e-4 over 4,096 windows of the lit scenarios, so it is evaluated at
+the two end windows of each 4,096-window sub-interval and bounded in
+between by the Lipschitz constant |amplitude * angular_frequency| plus
+a small absolute slack; top adds max(taps) to the upper bound.  These p
+values settle the undecided draws' own clicks, then the afterpulse
+resolve: exact and mostly vectorised, it settles most candidates by
+the latest unconditional click alone and the rest, which wait on an
+earlier tap-induced click, in one pass over just those windows.
 Without taps, a chunk needs about 2 bytes per window beside its 8-byte
 draws.
 
@@ -34,11 +35,11 @@ slice's first window, so window i still takes the i-th draw and the
 stream is the same on any number of cores.  The calling thread draws
 slice 0 and a pool of threads, built on first use, the others.  A slice
 only draws, thresholds against bounds computed beforehand and finds the
-positions of its close calls and afterpulse candidates.  Everything
-that evaluates p, resolves afterpulses or carries state from chunk to
-chunk runs on the calling thread, so a wrapper around those functions,
-such as a span tracer, sees one thread; every slice has ended before
-the chunk is resolved and yielded.  A slice has at least 2^18 windows:
+positions of its undecided draws.  Everything that evaluates p,
+resolves afterpulses or carries state from chunk to chunk runs on the
+calling thread, so a wrapper around those functions, such as a span
+tracer, sees one thread; every slice has ended before the chunk is
+resolved and yielded.  A slice has at least 2^18 windows:
 waking an idle core costs more than half the draws of a 2^16-window
 chunk save, so small chunks, like those of a live 2^16-window loop,
 stay on one thread and build no pool.
@@ -142,12 +143,13 @@ def _below(u: np.ndarray, bound, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _bound_modulated(model: SourceModel, times, count: int):
-    """Per sub-interval bounds lo <= p <= hi on a modulated chunk of ``count`` windows.
+    """Per sub-interval bounds (lo, top) of a modulated chunk of ``count`` windows.
 
-    p is evaluated at the two end windows of each sub-interval only.
-    The float time grid is monotone, so every window lies between its
-    sub-interval's ends, and p stays within L * (t_b - t_a) of both end
-    values, L = |amplitude * angular_frequency|.
+    lo <= p <= top - max(taps).  p is evaluated at the two end windows
+    of each sub-interval only.  The float time grid is monotone, so
+    every window lies between its sub-interval's ends, and p stays
+    within L * (t_b - t_a) of both end values,
+    L = |amplitude * angular_frequency|.
     """
     first = np.arange(0, count, _SPAN)
     t = times(np.concatenate((first, np.minimum(first + (_SPAN - 1), count - 1))))
@@ -155,14 +157,15 @@ def _bound_modulated(model: SourceModel, times, count: int):
     k = first.size
     mod = model.modulation
     reach = abs(mod.amplitude * mod.angular_frequency) * (t[k:] - t[:k]) + _SLACK
-    return np.minimum(p[:k], p[k:]) - reach, np.maximum(p[:k], p[k:]) + reach
+    hi = np.maximum(p[:k], p[k:]) + reach
+    return np.minimum(p[:k], p[k:]) - reach, hi + max(model.afterpulse_taps, default=0.0)
 
 
 def _resolve_afterpulses(
     clicks: np.ndarray,
     u: np.ndarray,
     cand: np.ndarray,
-    p_of,
+    pc,
     taps: tuple[float, ...],
     start_index: int,
     last_avalanche: int,
@@ -172,15 +175,15 @@ def _resolve_afterpulses(
     Only a candidate, a window that did not click on its own and has
     u < p + max(taps), can change state.  ``cand`` gives, in ascending
     order, the local positions of every candidate, and maybe of windows
-    that change nothing: those at or above p + max(taps), and close calls
-    of a modulated p that clicked on their own.  Such a click is the
-    nearest avalanche of every later candidate within reach, so none of
-    them depends on it.  ``p_of(idx)`` gives p at local indices, so p is
-    evaluated at those windows only.  A candidate
-    clicks when its distance d to the latest avalanche before it is at
-    most len(taps) and u < p + taps[d - 1].  That avalanche is the
-    latest unconditional click, or the one carried in from earlier
-    chunks, unless an earlier candidate lies after it and within reach.
+    that change nothing: those at or above p + max(taps), and undecided
+    draws of a modulated p that clicked on their own.  Such a click is
+    the nearest avalanche of every later candidate within reach, so none
+    of them depends on it.  ``pc`` is p at those positions, one value per
+    position or a float under constant p.  A candidate clicks when its
+    distance d to the latest avalanche before it is at most len(taps)
+    and u < p + taps[d - 1].  That avalanche is the latest
+    unconditional click, or the one carried in from earlier chunks,
+    unless an earlier candidate lies after it and within reach.
     Only the len(taps) windows before a candidate are looked at for it.
     All other candidates are settled in one vectorised step; the
     dependent ones follow in window order, one pass over just those,
@@ -199,7 +202,6 @@ def _resolve_afterpulses(
         hit[:before] = cand[:before] - d == carried
         dist[hit] = d
     uc = u[cand]
-    pc = p_of(cand)  # a float under constant p
     fired = np.zeros(cand.size, dtype=bool)
     for d, tap in enumerate(taps, 1):
         fired |= (dist == d) & (uc < pc + tap)
@@ -269,37 +271,26 @@ def _part(bound, a: int, b: int):
     return bound[a // _SPAN : -(-b // _SPAN)] if isinstance(bound, np.ndarray) else bound
 
 
-def _positions(mask: np.ndarray, first: int, dtype) -> np.ndarray:
-    """Chunk positions of the set windows of a slice that starts at ``first``."""
+def _draw_slice(rng, u, below, lo, top, first, dtype):
+    """Draw and threshold windows ``first``.. of a chunk, whose draws are ``u``.
+
+    Writes u < lo into ``below``.  Returns the chunk positions of the
+    undecided draws, lo <= u < top, or None without ``top``.  Evaluates
+    no p.
+    """
+    rng.random(out=u)
+    _below(u, lo, out=below)
+    if top is None:
+        return None
+    mask = _below(u, top)
+    mask ^= below  # lo <= top, so every draw below lo is below top too
     idx = np.flatnonzero(mask)
     if first:
         idx += first
     return idx if dtype is np.intp else idx.astype(dtype)
 
 
-def _draw_slice(rng, u, below, lo, hi, ceiling, first, dtype):
-    """Draw and threshold windows ``first``.. of a chunk, whose draws are ``u``.
-
-    Writes u < lo into ``below``.  Returns the chunk positions of the
-    draws too close to call, lo <= u < hi (None without ``hi``, under a
-    constant p), and, with a ``ceiling``, those of the draws under it
-    and not under lo (else None).  Evaluates no p.
-    """
-    rng.random(out=u)
-    _below(u, lo, out=below)
-    close = near = mask = None
-    if hi is not None:
-        mask = _below(u, hi)
-        mask ^= below
-        close = _positions(mask, first, dtype)
-    if ceiling is not None:
-        mask = _below(u, ceiling, out=mask)
-        np.greater(mask, below, out=mask)
-        near = _positions(mask, first, dtype)
-    return close, near
-
-
-def _run_slices(jobs: list[tuple], threads: int) -> list[tuple]:
+def _run_slices(jobs: list[tuple], threads: int) -> list:
     """_draw_slice for every job, the first on this thread; all have ended on return."""
     global _pool
     if _pool is None:  # built on first use: concurrent.futures takes 7-11 ms to import
@@ -313,10 +304,6 @@ def _run_slices(jobs: list[tuple], threads: int) -> list[tuple]:
         for f in futures:
             f.exception()  # waits; a slice's error is raised below
     return [first, *(f.result() for f in futures)]
-
-
-def _joined(parts) -> np.ndarray | None:
-    return parts[0] if len(parts) == 1 or parts[0] is None else np.concatenate(parts)
 
 
 def iter_simulate(
@@ -358,9 +345,6 @@ def iter_simulate(
     def times(idx):  # the times of local windows idx of the chunk at ``start``
         return t0 + np.add(idx, start, dtype=np.int64).astype(np.float64) * period
 
-    def p_of(idx):  # p at local windows idx, bit for bit as over the whole chunk
-        return constant_p if constant_p is not None else click_probability(model, times(idx))
-
     def moved(k, a, b):  # slice k's generator, at window a of the chunk, to draw up to b
         if k == len(rngs):
             rngs.append(np.random.Generator(np.random.PCG64(seeds)))
@@ -374,30 +358,29 @@ def iter_simulate(
         count = min(chunk_windows, n_windows - start)
         u = buf[:count]
         if constant_p is None:
-            lo, hi = _bound_modulated(model, times, count)
-            ceiling = hi + max(taps) if taps else None
-        else:
-            lo, hi = constant_p, None
-            ceiling = constant_p + max(taps) if taps else None
+            lo, top = _bound_modulated(model, times, count)
+        else:  # u < p settles every click but those a tap adds to draws in p..top
+            lo, top = constant_p, constant_p + max(taps) if taps else None
         below = np.empty(count, dtype=bool)
         cuts = _cuts(count, threads)
         if len(cuts) == 2:  # one slice: no views, no jobs, positions not joined
-            results = [_draw_slice(moved(0, 0, count), u, below, lo, hi, ceiling, 0, np.intp)]
+            idx = _draw_slice(moved(0, 0, count), u, below, lo, top, 0, np.intp)
         else:
-            results = _run_slices([
-                (moved(k, a, b), u[a:b], below[a:b],
-                 _part(lo, a, b), _part(hi, a, b), _part(ceiling, a, b), a, dtype)
+            parts = _run_slices([
+                (moved(k, a, b), u[a:b], below[a:b], _part(lo, a, b), _part(top, a, b), a, dtype)
                 for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
             ], threads)
-        closes, nears = zip(*results)
-        idx = _joined(closes)
-        if idx is not None:
-            below[idx] = u[idx] < p_of(idx)
+            idx = None if top is None else np.concatenate(parts)
         clicks = below.view(np.uint8)
-        if taps:
-            last_avalanche = _resolve_afterpulses(
-                clicks, u, _joined(nears), p_of, taps, start, last_avalanche
-            )
+        if idx is not None:
+            p = constant_p
+            if p is None:  # p at the undecided windows, bit for bit as over the whole chunk
+                p = click_probability(model, times(idx))
+                below[idx] = u[idx] < p
+            if taps:
+                last_avalanche = _resolve_afterpulses(
+                    clicks, u, idx, p, taps, start, last_avalanche
+                )
         yield clicks
         start += count
 

@@ -19,6 +19,7 @@ into place, so an output appears whole or not at all.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -28,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import StreamFormatError
+from .errors import DomainError, StreamFormatError
 from .extractor import BitOutput, DetectionStream, as_bit_array
 
 MAGIC = b"TIMEBIN1"
@@ -79,15 +80,24 @@ def read_meta(path):
 # TIMEBIN1 streams
 
 
+def check_period_ns(period_ns) -> int:
+    """``period_ns`` rounded to whole ns, if a TIMEBIN1 header can hold it."""
+    whole = round(period_ns) if math.isfinite(period_ns) else 0
+    if not 0 < whole < 1 << 64:
+        raise DomainError(f"window period must round to 1..2^64-1 ns, got {period_ns} ns")
+    return whole
+
+
 class StreamWriter:
     """Incremental TIMEBIN1 writer; usable as a context manager.
 
     The stream goes through :func:`atomic_open`: :meth:`close` publishes
     it, and leaving the ``with`` block by an exception discards it.
+    A period the header cannot hold raises DomainError before that.
     """
 
-    def __init__(self, path, window_period_ns: int, channel_id: int = 0):
-        self._period_ns = int(window_period_ns)
+    def __init__(self, path, window_period_ns: float, channel_id: int = 0):
+        self._period_ns = check_period_ns(window_period_ns)
         self._channel = int(channel_id)
         self._count = 0
         self._tail = np.zeros(0, dtype=np.uint8)
@@ -125,8 +135,7 @@ class StreamWriter:
 
 
 def write_stream(path, stream: DetectionStream) -> None:
-    period_ns = int(round(stream.window_period * 1e9))
-    with StreamWriter(path, period_ns, stream.channel_id) as w:
+    with StreamWriter(path, stream.window_period * 1e9, stream.channel_id) as w:
         w.write(stream.windows)
 
 

@@ -101,6 +101,20 @@ class TestSimulate:
         assert "t0" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("gate_frequency", [4e9, 1e-11], ids=["rounds-to-0-ns", "over-u64"])
+    def test_period_the_header_cannot_hold_is_input_error(self, tmp_path, capsys, gate_frequency):
+        # the second channel's period fails, so not even the first one is written
+        channel = {"dark_rate": 0.01, "gate_frequency": 1e6}
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps([channel, {**channel, "gate_frequency": gate_frequency}]))
+        code, _, err = run(
+            capsys, "simulate", "--model-file", str(cfg), "--windows", "100",
+            "--seed", "3", "--out", str(tmp_path / "m.tbd1"),
+        )
+        assert code == 2
+        assert "window period" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_ascii_format(self, tmp_path, capsys):
         out = tmp_path / "a.txt"
         code, _, _ = run(
@@ -281,6 +295,33 @@ class TestEfficiency:
     def test_bad_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "efficiency", "-N", "4", "-p", "0.1..0.9")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["-N", "2..8:0"],
+        ["-N", "2..8:-2"],
+        ["-p", "0.1..0.5:0"],
+        ["-p", "0.1..0.5:-0.1"],
+        ["-p", "0.1..inf:0.1"],
+        ["-p", "0.1..0.5:nan"],
+        ["-p", "0..0.5:1e-12"],
+        ["-N", "2..1000002"],
+        ["-N", "8..2"],
+        ["-p", "0.5..0.1:-0.1"],
+        ["-N", ","],
+        ["-p", "abc"],
+        ["-N", "x"],
+        ["-N", "2..8:x"],
+        ["-p", "0.1..0.5:y"],
+        ["--profile", "base=0.5,amp=0.3,omega=0.1pi"],
+        ["--profile", "base=0.5,amp=0.3,omega=0.1pi,T"],
+        ["--profile", "base=0.5,amp=0.3,omega=x,T=20"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_argument_is_usage_error(self, capsys, argv):
+        # a zero, negative, tiny or non-finite step or end once looped for ever
+        code, out_text, err = run(capsys, "efficiency", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out_text == ""
 
 
 class TestBench:

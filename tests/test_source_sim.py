@@ -141,6 +141,19 @@ class TestAfterpulsing:
             tracemalloc.stop()
         assert peak / n <= 12.0  # u (8 B), clicks, one mask, O(candidates); 18 B with positions
 
+    def test_p_is_evaluated_once_per_window(self):
+        # one call bounds the chunk, one evaluates p at its undecided draws,
+        # whose values decide their own clicks and then the afterpulses
+        model = SourceModel(modulation=LIT_MODULATION, afterpulse_taps=(0.1, 0.05))
+        n = 1 << 16
+        with recorded_p_at() as seen:
+            got = next(iter_simulate(model, n, seed=3, chunk_windows=n))
+        assert np.array_equal(got, simulate_reference(model, n, seed=3))
+        assert len(seen) == 2
+        assert seen[0].size == 2 * (n // source_sim._SPAN)
+        undecided = seen[1]
+        assert undecided.size and np.unique(undecided).size == undecided.size
+
     def test_zero_taps_equal_no_taps(self):
         base = SourceModel(mean_photons=math.log(2.0))
         tapped = SourceModel(mean_photons=math.log(2.0), afterpulse_taps=(0.0, 0.0))

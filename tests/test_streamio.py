@@ -1,11 +1,12 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from timebinrng import DetectionStream, StreamFormatError, extract
+from timebinrng import DetectionStream, DomainError, StreamFormatError, extract
 from timebinrng import streamio
 
 
@@ -213,6 +214,19 @@ class TestAtomicOutputs:
         w.close()
         assert streamio.read_stream_header(path) == (9, 1000, 0)
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("period_ns", [0, 0.49, -1, 1 << 64, math.inf, math.nan])
+    def test_period_the_header_cannot_hold_creates_no_file(self, tmp_path, period_ns):
+        with pytest.raises(DomainError, match="window period"):
+            streamio.StreamWriter(tmp_path / "s.tbd1", period_ns)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_period_rounds_to_whole_ns(self, tmp_path):
+        path = tmp_path / "s.tbd1"
+        streamio.write_stream(path, random_stream(9, period=0.51e-9))
+        streamio.StreamWriter(tmp_path / "t.tbd1", (1 << 64) - 1).close()
+        assert streamio.read_stream_header(path)[1] == 1
+        assert streamio.read_stream_header(tmp_path / "t.tbd1")[1] == (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
