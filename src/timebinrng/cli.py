@@ -216,8 +216,9 @@ def _cmd_simulate(args, argv: list[str]) -> int:
 def _open_input(path, chunk_windows: int):
     """Window count, window period (s; None for ASCII) and chunk iterator."""
     if streamio.is_tbd1(path):
-        count, period_ns, _ = streamio.read_stream_header(path)
-        return count, period_ns * 1e-9, streamio.iter_stream_windows(path, chunk_windows)
+        header = streamio.read_stream_header(path)
+        chunks = streamio.iter_stream_windows(path, chunk_windows, _header=header)
+        return header[0], header[1] * 1e-9, chunks
     windows = streamio.read_ascii_bits(path)
     chunks = (windows[i : i + chunk_windows] for i in range(0, windows.size, chunk_windows))
     return windows.size, None, chunks
@@ -400,25 +401,28 @@ def _parse_profile(text: str) -> ModulationProfile:
 
 
 def _cmd_efficiency(args, argv: list[str]) -> int:
+    # every row is computed before any is printed, so a range that leaves
+    # the domain prints no partial table
     ns = _parse_range(args.block_len, "int")
     if args.profile:
         profile = _parse_profile(args.profile)
-        print("N\tbase\tamplitude\tomega\tduration\tHb_avg")
-        for n in ns:
-            avg = time_average_binary_rate(n, profile)
-            print(
-                f"{n}\t{profile.base:.6g}\t{profile.amplitude:.6g}"
-                f"\t{profile.angular_frequency:.6g}\t{profile.duration:.6g}\t{avg:.6f}"
-            )
-        return 0
-    ps = _parse_range(args.p, "float")
-    print("N\tp\tshannon\tblock_rate\tbinary_rate")
-    for n in ns:
-        for p in ps:
-            print(
-                f"{n}\t{p:.6g}\t{shannon_binary(p):.6f}"
-                f"\t{block_entropy_rate(n, p):.6f}\t{binary_rate(n, p):.6f}"
-            )
+        header = "N\tbase\tamplitude\tomega\tduration\tHb_avg"
+        rows = [
+            f"{n}\t{profile.base:.6g}\t{profile.amplitude:.6g}"
+            f"\t{profile.angular_frequency:.6g}\t{profile.duration:.6g}"
+            f"\t{time_average_binary_rate(n, profile):.6f}"
+            for n in ns
+        ]
+    else:
+        ps = _parse_range(args.p, "float")
+        header = "N\tp\tshannon\tblock_rate\tbinary_rate"
+        rows = [
+            f"{n}\t{p:.6g}\t{shannon_binary(p):.6f}"
+            f"\t{block_entropy_rate(n, p):.6f}\t{binary_rate(n, p):.6f}"
+            for n in ns
+            for p in ps
+        ]
+    print("\n".join([header, *rows]))
     return 0
 
 

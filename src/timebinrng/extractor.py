@@ -15,10 +15,12 @@ stream enters the output, so slow drift between blocks cannot bias it.
 
 One table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`);
 it reads blocks from the packed chunk, up to 16 windows per lookup for
-n <= 16.  Neighbouring fragments are joined pairwise while the result
-surely fits 64 bits, then ORed into big-endian 64-bit words, most
-significant bit first.  The tests check this codec against the
-brute-force encoder in ``tests/oracles.py``.
+n <= 16.  Round-robin merging packs each channel on its own and
+interleaves the channels' blocks as 64-bit block words, not as windows.
+Neighbouring fragments are joined pairwise while the result surely fits
+64 bits, then ORed into big-endian 64-bit words, most significant bit
+first.  The tests check this codec against the brute-force encoder in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -132,10 +134,13 @@ class BitPacker:
 
     Fragments are ORed into big-endian 64-bit words at their bit offsets;
     fewer than 64 bits carry over to the next pass, so feeding the same
-    fragments in any chunking yields identical bytes.  Calls are queued
-    and packed together once ``_BATCH`` fragments wait, or when the
-    bits are read, since each pass costs tens of microseconds however
-    few fragments it packs.
+    fragments in any chunking yields identical bytes.  No fragment
+    outgrows a word, so a pass finds each word's last fragment where
+    the start's word number changes; a word is the sum of the pieces
+    that start in it, from running sums, plus the spill of the previous
+    word's last fragment.  Calls are queued and packed together once
+    ``_BATCH`` fragments wait, or when the bits are read, since each
+    pass costs tens of microseconds however few fragments it packs.
     """
 
     def __init__(self):
@@ -151,9 +156,12 @@ class BitPacker:
         return self._bits
 
     def add(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        """Append fragments; each value must fit its width, 0..64 bits."""
-        lengths = np.asarray(lengths).astype(np.int64)
-        self._queue.append((np.asarray(values).astype(np.uint64), lengths))
+        """Append fragments; each value must fit its width, 0..64 bits.
+
+        The arrays are read when the queue is packed, so they must not
+        change until then."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self._queue.append((np.asarray(values, dtype=np.uint64), lengths))
         self._queued += lengths.size
         if self._queued >= _BATCH:
             self._pack()
@@ -165,23 +173,32 @@ class BitPacker:
         values, lengths = (np.concatenate(column) for column in zip(*self._queue))
         self._queue, self._queued = [], 0
         pending = self._bits % 64
-        ends = np.cumsum(lengths) + pending
-        starts = ends - lengths
-        offset = starts & 63
-        # each value left-aligned in a word, then moved to its offset
-        aligned = values << (64 - lengths).astype(np.uint64)
-        total = int(ends[-1])
-        words = np.zeros((total >> 6) + 1, dtype=np.uint64)  # the last one pending
-        # no fragment outgrows a word, so each word up to the last start
-        # holds a start; its pieces are disjoint, so their sum is their OR
-        last = int(starts[-1]) >> 6
-        first = np.searchsorted(starts, np.arange(0, 64 * last + 1, 64))
-        words[: last + 1] = np.add.reduceat(aligned >> offset.astype(np.uint64), first)
-        split = np.flatnonzero(offset + lengths > 64)
-        words[(starts[split] >> 6) + 1] |= aligned[split] << (64 - offset[split]).astype(np.uint64)
+        starts = np.cumsum(lengths)
+        total = int(starts[-1]) + pending
+        starts -= lengths
+        starts += pending
+        # each value left-aligned in a word; the lengths array then holds
+        # the offsets within words
+        values <<= np.subtract(64, lengths, out=lengths).view(np.uint64)
+        offset = np.bitwise_and(starts, 63, out=lengths).view(np.uint64)
+        # no fragment outgrows a word, so every word up to the last start
+        # holds a start, and only the last fragment to start in a word can
+        # spill into the next one
+        word = np.right_shift(starts, 6, out=starts)
+        last = np.flatnonzero(np.append(word[1:] != word[:-1], True))
+        spill = values[last] << np.uint64(1)
+        spill <<= 63 - offset[last]
+        # a word's pieces are disjoint, so their sum is their OR: each word
+        # is a difference of running sums, exact modulo 2^64
+        values >>= offset
+        sums = np.cumsum(values, out=values)[last]
+        words = np.zeros(last.size + 1, dtype=np.uint64)
+        words[:-1] = sums
+        words[1:-1] -= sums[:-1]
         words[0] |= self._carry
+        words[1:] |= spill
         self._full.append(words[: total >> 6].astype(">u8").tobytes())
-        self._carry = words[-1]
+        self._carry = words[total >> 6]
         self._bits += total - pending
 
     def extend(self, other: "BitPacker") -> None:
@@ -211,27 +228,30 @@ _INTERLEAVE = 1 << 20  # windows per channel interleaved at a time
 
 
 def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
-    """The n-window blocks of an MSB-first packed stream as left-aligned
-    uint64 words; the bits after each block are those that follow it.
+    """The n-window blocks of MSB-first packed rows as left-aligned uint64
+    words, interleaved block by block across the rows of a 2-D ``packed``;
+    the bits after each block are those that follow it in its row.
 
     Eight blocks fill n bytes, so block r of every eight starts at bit
-    r*n % 8 of byte r*n // 8 of its n-byte row: one strided big-endian
+    r*n % 8 of byte r*n // 8 of its n-byte group: one strided big-endian
     8-byte read and one shift, plus a ninth byte where bit + n > 64.
     """
+    packed = np.atleast_2d(packed)
     groups = -(-n_blocks // 8)
+    rows = packed.shape[0]
     if not groups:
         return np.zeros(0, dtype=np.uint64)
-    buf = np.zeros(groups * n + 8, dtype=np.uint8)  # room for the last row's reads
-    buf[: packed.size] = packed
-    words = np.empty((groups, 8), dtype=np.uint64)
+    buf = np.zeros((rows, groups * n + 8), dtype=np.uint8)  # room for the last group's reads
+    buf[:, : packed.shape[1]] = packed
+    words = np.empty((groups, 8, rows), dtype=np.uint64)
     for r in range(8):
         byte, bit = divmod(r * n, 8)
-        col = np.ndarray(groups, ">u8", buf, byte, (n,)).astype(np.uint64)
+        col = np.ndarray((rows, groups), ">u8", buf, byte, (buf.shape[1], n)).astype(np.uint64)
         col <<= np.uint64(bit)
         if bit + n > 64:
-            col |= buf[byte + 8 :: n][:groups] >> (8 - bit)
-        words[:, r] = col
-    return words.reshape(-1)[:n_blocks]
+            col |= buf[:, byte + 8 :: n][:, :groups] >> (8 - bit)
+        words[:, r] = col.T
+    return words.reshape(-1)[: n_blocks * rows]
 
 
 def _premerge(values: np.ndarray, widths: np.ndarray, levels: int):
@@ -241,11 +261,11 @@ def _premerge(values: np.ndarray, widths: np.ndarray, levels: int):
     if pad:
         values = np.concatenate((values, np.zeros(pad, values.dtype)))
         widths = np.concatenate((widths, np.zeros(pad, widths.dtype)))
-    v, w = values.astype(np.uint64), widths.astype(np.uint64)
+    v, w = values.astype(np.uint64, copy=False), widths.astype(np.uint64)
     for _ in range(levels):
         v = (v[0::2] << w[1::2]) | v[1::2]
         w = w[0::2] + w[1::2]
-    return v, w
+    return v, w.view(np.int64)  # widths <= 64, the packer's length type
 
 
 class _BlockCodec:
@@ -256,13 +276,15 @@ class _BlockCodec:
     the later bytes.  The subblock is closed-form: the fragment width is
     bit_length(f XOR C(n, k)) - 1 and its value f mod 2^width.
 
-    :meth:`encode` packs its windows once.  For n <= 16 the tables are
-    folded at construction into one entry per pattern of 16 // n
-    consecutive blocks, so one lookup encodes up to 16 windows; where n
-    divides 16 the index is a 16-bit word of the packed bytes.  An entry
-    holds the blocks' fragments concatenated, their summed width and
-    their numbers of k- and width-0 discards.  For n > 16 the table
-    sums run only on blocks that are neither empty nor full.
+    :meth:`encode` packs its windows once, each channel on its own.  For
+    n <= 16 the tables are folded at construction into one entry per
+    pattern of 16 // n consecutive blocks, so one lookup encodes up to 16
+    windows; for one channel where n divides 16 the index is a 16-bit
+    word of the packed bytes, and for several channels it joins that
+    many interleaved block words.  An entry holds the blocks' fragments
+    concatenated, their summed width and their numbers of k- and width-0
+    discards.  For n > 16 the table sums run only on blocks that are
+    neither empty nor full.
     ``levels`` is how often neighbouring fragments can be joined
     pairwise and still fit 64 bits.
     """
@@ -334,18 +356,39 @@ class _BlockCodec:
             length -= x < _POW2[length]
         return f & _LOW[length], (length - 1).astype(np.int8)
 
+    def _index(self, packed: np.ndarray, n_blocks: int) -> np.ndarray:
+        """Folded-table indices of ``per`` consecutive blocks each, from
+        packed rows of ``n_blocks`` blocks; zero bits pad the last."""
+        n, per = self.n, self._per
+        if packed.ndim == 1:
+            span = n * per
+            if span == _SPAN:  # a 16-bit word of the packed bytes
+                packed = np.concatenate((packed, np.zeros(packed.size % 2, np.uint8)))
+                return packed.view(">u2").astype(np.intp)
+            words = _block_words(packed, span, -(-n_blocks // per))
+            return (words >> np.uint64(64 - span)).astype(np.intp)
+        # channels interleaved block by block: join ``per`` block words
+        words = _block_words(packed, n, n_blocks)
+        index = (words[0::per] >> np.uint64(64 - n)).astype(np.int64)
+        for j in range(1, per):
+            index <<= n
+            block = words[j::per] >> np.uint64(64 - n)
+            index[: block.size] |= block.view(np.int64)
+        return index
+
     def encode(self, windows: np.ndarray):
-        """Encode a 0/1 window array whose length is a multiple of ``n``.
+        """Encode a 0/1 window array, 1-D or (channels, windows), whose
+        rows hold a multiple of ``n`` windows; blocks of several channels
+        are taken in (block, channel) order.
 
         Returns (values, widths, stats): fragments of 0..64 bits in
         block order, each covering one or more blocks; discarded blocks
         add no bits.  ``stats.windows_seen`` is left to the caller.
         """
-        n, per = self.n, self._per
-        n_blocks = windows.size // n
-        packed = np.packbits(windows)
+        n_blocks = windows.size // self.n
+        packed = np.packbits(windows, axis=-1)
         if self._folded is None:
-            words = _block_words(packed, n, n_blocks) & self._mask
+            words = _block_words(packed, self.n, windows.shape[-1] // self.n) & self._mask
             live = (words != 0) & (words != self._mask)  # k = 0 and k = n emit nothing
             if not live.all():
                 words = words[live]
@@ -353,18 +396,12 @@ class _BlockCodec:
             k_discards = n_blocks - words.size
             alpha0 = int(np.count_nonzero(widths == 0))
         else:
-            span = n * per
-            n_index = -(-n_blocks // per)
-            if span == _SPAN:
-                packed = np.concatenate((packed, np.zeros(packed.size % 2, np.uint8)))
-                index = packed.view(">u2").astype(np.intp)
-            else:
-                index = (_block_words(packed, span, n_index) >> np.uint64(64 - span)).astype(np.intp)
+            index = self._index(packed, windows.shape[-1] // self.n)
             table_values, table_widths, table_discards = self._folded
             values, widths = table_values[index], table_widths[index]
             discards = table_discards[index].view(np.uint8)
             # the last index's zero padding reads as k = 0 blocks
-            k_discards = int(discards[0::2].sum()) - (per * n_index - n_blocks)
+            k_discards = int(discards[0::2].sum()) - (self._per * index.size - n_blocks)
             alpha0 = int(discards[1::2].sum())
         stats = ExtractStats(
             blocks_scanned=n_blocks,
@@ -391,7 +428,9 @@ class StreamingMerger:
     channel carries its trailing partial block into the next feed, so
     the output does not depend on the chunking.  ``round-robin-block``
     orders blocks by (block index, channel position) and needs every
-    feed to leave the channels at equal full-block counts;
+    feed to leave the channels at equal full-block counts; the codec
+    takes the channels as rows and interleaves their block words, up to
+    ``_INTERLEAVE`` windows per channel at a time;
     ``per-channel`` concatenates whole channels in order.  With one
     channel both policies give the plain block-order output.
     """
@@ -427,13 +466,13 @@ class StreamingMerger:
         self._remainders = [arr[u:].copy() for arr, u in zip(joined, usable)]
         streams = [arr[:u] for arr, u in zip(joined, usable)]
         if round_robin:
-            # equal block counts: interleave into (block, channel) order, a
-            # slice at a time so that the copy stays small
-            rows = [s.reshape(-1, n) for s in streams]
-            step = -(-_INTERLEAVE // n)
+            # equal block counts: the codec interleaves the channels' block
+            # words, a slice at a time so that the words stay few
+            step = -(-_INTERLEAVE // n) * n
+            channels = streams
             streams = (
-                np.stack([r[lo : lo + step] for r in rows], axis=1).reshape(-1)
-                for lo in range(0, len(rows[0]), step)
+                np.stack([s[lo : lo + step] for s in channels])
+                for lo in range(0, usable[0], step)
             )
             packers = itertools.repeat(packers[0])
         for packer, arr in zip(packers, streams):

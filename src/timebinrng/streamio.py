@@ -172,11 +172,17 @@ def read_stream_header(path) -> tuple[int, int, int]:
     return count, period_ns, channel
 
 
-def iter_stream_windows(path, chunk_windows: int = 1 << 24) -> Iterator[np.ndarray]:
-    """Yield the stream's windows as 0/1 arrays of at most ``chunk_windows``."""
+def iter_stream_windows(
+    path, chunk_windows: int = 1 << 24, *, _header: tuple[int, int, int] | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the stream's windows as 0/1 arrays of at most ``chunk_windows``.
+
+    ``_header`` is what :func:`read_stream_header` returned for ``path``,
+    from a caller that read it already; it is not read a second time.
+    """
     if chunk_windows <= 0 or chunk_windows % 8:
         raise StreamFormatError("chunk_windows must be a positive multiple of 8")
-    count, _, _ = read_stream_header(path)
+    count, _, _ = read_stream_header(path) if _header is None else _header
     with open(path, "rb") as fh:
         fh.seek(HEADER_SIZE)
         for start in range(0, count, chunk_windows):

@@ -176,6 +176,23 @@ class TestExtract:
         )
         assert code == 2
 
+    def test_reads_each_header_once(self, tmp_path, capsys, monkeypatch):
+        streams = self._simulate(tmp_path, capsys, scenario="b", windows=4000)
+        read_header = streamio.read_stream_header
+        calls = []
+
+        def counted(path):
+            calls.append(str(path))
+            return read_header(path)
+
+        monkeypatch.setattr(streamio, "read_stream_header", counted)
+        code, _, _ = run(
+            capsys, "extract", *map(str, streams), "--chunk-windows", "1024",
+            "--out", str(tmp_path / "merged.bin"),
+        )
+        assert code == 0
+        assert calls == list(map(str, streams))
+
     @pytest.mark.parametrize("chunk", ["0", "-8", "7"])
     @pytest.mark.parametrize("fmt", ["ascii", "tbd1"])
     def test_chunk_windows_must_be_positive_multiple_of_8(self, tmp_path, capsys, chunk, fmt):
@@ -323,6 +340,18 @@ class TestEfficiency:
         assert err.startswith("error: ")
         assert out_text == ""
 
+
+    @pytest.mark.parametrize("argv", [
+        ["-N", "4", "-p", "0.5..2:0.5"],
+        ["-N", "60..70", "-p", "0.5"],
+        ["-N", "60..70", "--profile", "base=0.5,amp=0.3,omega=0.1pi,T=20"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_range_leaving_the_domain_prints_no_rows(self, capsys, argv):
+        # the first rows are valid; a table used to be printed up to the bad one
+        code, out_text, err = run(capsys, "efficiency", *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out_text == ""
 
 class TestBench:
     def test_reports_throughput(self, capsys):

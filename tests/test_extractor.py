@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from timebinrng import (
     simulate,
     SourceModel,
 )
+from timebinrng import extractor
 from timebinrng.combinatorics import MAX_BLOCK_LEN, binary_expansion, unrank_combination
 from timebinrng.extractor import (
     _BATCH,
@@ -266,6 +268,44 @@ class TestPackBits:
         frags = [(int(v), int(w)) for v, w in zip(values, widths) if w]
         assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
 
+    @staticmethod
+    def packed_in_passes(*passes):
+        """Bytes and bit count of one BitPacker fed one pass per argument."""
+        packer = BitPacker()
+        for frags in passes:
+            packer.add(np.array([v for v, _ in frags], dtype=np.uint64), np.array([w for _, w in frags]))
+            packer.bit_length  # packs what is queued
+        return packer.getvalue(), packer.bit_length
+
+    def test_whole_words_on_word_boundaries(self):
+        a, b, c = (1 << 63) | 5, (1 << 64) - 1, 0x0123_4567_89AB_CDEF
+        # starts at bits 0, 64 and 128 of a pass with no pending bits
+        assert self.packed_in_passes([(a, 64), (b, 64), (c, 64)]) == pack_reference(
+            [(a, 64), (b, 64), (c, 64)]
+        )
+        # 3 pending bits carried in, then 61 bits complete their word, so
+        # the 64-bit fragments start on word boundaries again
+        frags = [(5, 3), ((1 << 61) - 3, 61), (a, 64), (b, 64), (c, 64)]
+        assert self.packed_in_passes(frags[:1], frags[1:]) == pack_reference(frags)
+        # a pass that ends on a word end carries no bits into the next
+        assert self.packed_in_passes(frags[:2], frags[2:]) == pack_reference(frags)
+
+    def test_spill_into_the_carried_word_then_zero_widths(self):
+        x, y = (1 << 40) - 7, (1 << 39) + 3
+        spilled = [(x, 40), (y, 40)]  # y spills into the word carried to the next pass
+        expected = pack_reference(spilled)
+        assert self.packed_in_passes(spilled) == expected
+        # width-0 fragments after the spill, in the next pass or in the same
+        assert self.packed_in_passes(spilled, [(0, 0), (0, 0)]) == expected
+        assert self.packed_in_passes(spilled + [(0, 0), (0, 0)]) == expected
+        assert self.packed_in_passes(spilled, [(0, 0)], [(9, 4), (0, 0)]) == pack_reference(
+            [*spilled, (9, 4)]
+        )
+        # pending bits, then a spill that ends exactly on the next word's end
+        assert self.packed_in_passes([(1, 24)], [(x, 40), (0, 0), ((1 << 64) - 2, 64)]) == (
+            pack_reference([(1, 24), (x, 40), ((1 << 64) - 2, 64)])
+        )
+
     def test_extend_appends_bits(self):
         first, second = BitPacker(), BitPacker()
         first.add(np.array([5]), np.array([3]))
@@ -477,6 +517,36 @@ class TestMergerOracle:
         bounds = [0, *cuts, size]
         for lo, hi in zip(bounds, bounds[1:]):
             merger.feed([w[lo:hi] for w in chans])
+        out = merger.finish()
+        data_, total_bits, stats = reference_merge(chans, n, policy)
+        assert (out.data, out.total_bits) == (data_, total_bits)
+        assert vars(out.stats) == stats
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 16, 17, 64])
+    @given(data=st.data())
+    @settings(max_examples=50)
+    def test_several_interleave_steps_per_feed(self, n, data):
+        # a few blocks per interleave step, so that one feed takes several;
+        # ragged feeds leave the channels different remainders
+        n_channels = data.draw(st.integers(2, 3), "channels")
+        policy = data.draw(st.sampled_from(MERGE_POLICIES), "policy")
+        step = data.draw(st.integers(1, 3 * n), "windows per interleave step")
+        blocks = sorted(set(data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=4), "blocks")))
+        tails = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), min_size=len(blocks), max_size=len(blocks)),
+                     min_size=n_channels, max_size=n_channels),
+            "remainders",
+        )
+        p = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), "p")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        chans = [(rng.random(n * blocks[-1] + t[-1]) < p).astype(np.uint8) for t in tails]
+        merger = StreamingMerger(n, n_channels, policy)
+        los = [0] * n_channels
+        with mock.patch.object(extractor, "_INTERLEAVE", step):
+            for i, b in enumerate(blocks):
+                his = [n * b + t[i] for t in tails]
+                merger.feed([w[lo:hi] for w, lo, hi in zip(chans, los, his)])
+                los = his
         out = merger.finish()
         data_, total_bits, stats = reference_merge(chans, n, policy)
         assert (out.data, out.total_bits) == (data_, total_bits)

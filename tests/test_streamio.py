@@ -101,6 +101,19 @@ class TestTbd1:
             streamio.read_stream(path)
         assert err.value.offset == len(data) - 1
 
+    def test_payload_shrinking_after_the_header_read_names_offset(self, tmp_path):
+        # the CLI reads the header once and hands it to the chunk reader
+        path = tmp_path / "shrinks.tbd1"
+        streamio.write_stream(path, random_stream(1000))
+        header = streamio.read_stream_header(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-10])
+        chunks = streamio.iter_stream_windows(path, chunk_windows=512, _header=header)
+        assert next(chunks).size == 512
+        with pytest.raises(StreamFormatError, match="payload ends early") as err:
+            next(chunks)
+        assert err.value.offset == len(data) - 10
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "tiny.tbd1"
         path.write_bytes(b"TIMEBIN1\x01")
