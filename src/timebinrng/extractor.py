@@ -173,30 +173,25 @@ class BitPacker:
         values, lengths = (np.concatenate(column) for column in zip(*self._queue))
         self._queue, self._queued = [], 0
         pending = self._bits % 64
-        starts = np.cumsum(lengths)
-        total = int(starts[-1]) + pending
-        starts -= lengths
-        starts += pending
-        # each value left-aligned in a word; the lengths array then holds
-        # the offsets within words
-        values <<= np.subtract(64, lengths, out=lengths).view(np.uint64)
-        offset = np.bitwise_and(starts, 63, out=lengths).view(np.uint64)
+        ends = np.cumsum(lengths) + pending
+        starts = ends - lengths
+        offset = (starts & 63).view(np.uint64)
+        # each value left-aligned in a word, then moved to its offset
+        aligned = values << (64 - lengths).view(np.uint64)
         # no fragment outgrows a word, so every word up to the last start
         # holds a start, and only the last fragment to start in a word can
         # spill into the next one
-        word = np.right_shift(starts, 6, out=starts)
+        word = starts >> 6
         last = np.flatnonzero(np.append(word[1:] != word[:-1], True))
-        spill = values[last] << np.uint64(1)
-        spill <<= 63 - offset[last]
         # a word's pieces are disjoint, so their sum is their OR: each word
         # is a difference of running sums, exact modulo 2^64
-        values >>= offset
-        sums = np.cumsum(values, out=values)[last]
+        sums = np.cumsum(aligned >> offset)[last]
         words = np.zeros(last.size + 1, dtype=np.uint64)
         words[:-1] = sums
         words[1:-1] -= sums[:-1]
         words[0] |= self._carry
-        words[1:] |= spill
+        words[1:] |= (aligned[last] << np.uint64(1)) << (63 - offset[last])
+        total = int(ends[-1])
         self._full.append(words[: total >> 6].astype(">u8").tobytes())
         self._carry = words[total >> 6]
         self._bits += total - pending

@@ -273,7 +273,8 @@ class TestPackBits:
         """Bytes and bit count of one BitPacker fed one pass per argument."""
         packer = BitPacker()
         for frags in passes:
-            packer.add(np.array([v for v, _ in frags], dtype=np.uint64), np.array([w for _, w in frags]))
+            values, widths = zip(*frags)
+            packer.add(np.array(values, dtype=np.uint64), np.array(widths))
             packer.bit_length  # packs what is queued
         return packer.getvalue(), packer.bit_length
 
@@ -531,7 +532,8 @@ class TestMergerOracle:
         n_channels = data.draw(st.integers(2, 3), "channels")
         policy = data.draw(st.sampled_from(MERGE_POLICIES), "policy")
         step = data.draw(st.integers(1, 3 * n), "windows per interleave step")
-        blocks = sorted(set(data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=4), "blocks")))
+        # full blocks per channel after each feed
+        blocks = sorted(set(data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=4))))
         tails = data.draw(
             st.lists(st.lists(st.integers(0, n - 1), min_size=len(blocks), max_size=len(blocks)),
                      min_size=n_channels, max_size=n_channels),
