@@ -176,21 +176,23 @@ class BitPacker:
         ends = np.cumsum(lengths) + pending
         starts = ends - lengths
         offset = (starts & 63).view(np.uint64)
-        # each value left-aligned in a word, then moved to its offset
-        aligned = values << (64 - lengths).view(np.uint64)
+        values <<= (64 - lengths).view(np.uint64)  # left-aligned in a word
         # no fragment outgrows a word, so every word up to the last start
         # holds a start, and only the last fragment to start in a word can
-        # spill into the next one
+        # spill into the next one (two shifts: at offset 0 one would be 64)
         word = starts >> 6
         last = np.flatnonzero(np.append(word[1:] != word[:-1], True))
-        # a word's pieces are disjoint, so their sum is their OR: each word
-        # is a difference of running sums, exact modulo 2^64
-        sums = np.cumsum(aligned >> offset)[last]
+        spill = (values[last] << np.uint64(1)) << (63 - offset[last])
+        # at their offsets a word's pieces are disjoint, so their sum is
+        # their OR: each word is a difference of running sums, exact
+        # modulo 2^64
+        values >>= offset
+        sums = np.cumsum(values, out=values)[last]
         words = np.zeros(last.size + 1, dtype=np.uint64)
         words[:-1] = sums
         words[1:-1] -= sums[:-1]
         words[0] |= self._carry
-        words[1:] |= (aligned[last] << np.uint64(1)) << (63 - offset[last])
+        words[1:] |= spill
         total = int(ends[-1])
         self._full.append(words[: total >> 6].astype(">u8").tobytes())
         self._carry = words[total >> 6]
