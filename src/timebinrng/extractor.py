@@ -15,8 +15,9 @@ stream enters the output, so slow drift between blocks cannot bias it.
 
 One table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`);
 it reads blocks from the packed chunk, up to 16 windows per lookup for
-n <= 16.  Round-robin merging packs each channel on its own and
-interleaves the channels' blocks as 64-bit block words, not as windows.
+n <= 16.  Round-robin merging packs and cuts each channel on its own and
+interleaves the channels' blocks, not their windows: 64-bit block words
+for n > 16, n-bit block values for n <= 16.
 Neighbouring fragments are joined pairwise while the result surely fits
 64 bits, then ORed into big-endian 64-bit words, most significant bit
 first.  The tests check this codec against the brute-force encoder in
@@ -225,30 +226,32 @@ _INTERLEAVE = 1 << 20  # windows per channel interleaved at a time
 
 
 def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
-    """The n-window blocks of MSB-first packed rows as left-aligned uint64
-    words, interleaved block by block across the rows of a 2-D ``packed``;
-    the bits after each block are those that follow it in its row.
+    """The n-window blocks of an MSB-first packed stream as left-aligned
+    uint64 words; the bits after each block are those that follow it.
 
     Eight blocks fill n bytes, so block r of every eight starts at bit
-    r*n % 8 of byte r*n // 8 of its n-byte group: one strided big-endian
+    r*n % 8 of byte r*n // 8 of its n-byte row: one strided big-endian
     8-byte read and one shift, plus a ninth byte where bit + n > 64.
     """
-    packed = np.atleast_2d(packed)
     groups = -(-n_blocks // 8)
-    rows = packed.shape[0]
     if not groups:
         return np.zeros(0, dtype=np.uint64)
-    buf = np.zeros((rows, groups * n + 8), dtype=np.uint8)  # room for the last group's reads
-    buf[:, : packed.shape[1]] = packed
-    words = np.empty((groups, 8, rows), dtype=np.uint64)
+    buf = np.zeros(groups * n + 8, dtype=np.uint8)  # room for the last row's reads
+    buf[: packed.size] = packed
+    words = np.empty((groups, 8), dtype=np.uint64)
     for r in range(8):
         byte, bit = divmod(r * n, 8)
-        col = np.ndarray((rows, groups), ">u8", buf, byte, (buf.shape[1], n)).astype(np.uint64)
+        col = np.ndarray(groups, ">u8", buf, byte, (n,)).astype(np.uint64)
         col <<= np.uint64(bit)
         if bit + n > 64:
-            col |= buf[:, byte + 8 :: n][:, :groups] >> (8 - bit)
-        words[:, r] = col.T
-    return words.reshape(-1)[: n_blocks * rows]
+            col |= buf[byte + 8 :: n][:groups] >> (8 - bit)
+        words[:, r] = col
+    return words.reshape(-1)[:n_blocks]
+
+
+def _interleave(per_channel: list[np.ndarray]) -> np.ndarray:
+    """Equal-length per-channel arrays of blocks in (block, channel) order."""
+    return per_channel[0] if len(per_channel) == 1 else np.stack(per_channel, axis=1).ravel()
 
 
 def _premerge(values: np.ndarray, widths: np.ndarray, levels: int):
@@ -276,9 +279,9 @@ class _BlockCodec:
     :meth:`encode` packs its windows once, each channel on its own.  For
     n <= 16 the tables are folded at construction into one entry per
     pattern of 16 // n consecutive blocks, so one lookup encodes up to 16
-    windows; for one channel where n divides 16 the index is a 16-bit
-    word of the packed bytes, and for several channels it joins that
-    many interleaved block words.  An entry holds the blocks' fragments
+    windows; where n divides 16 a channel's index is a 16-bit word of its
+    packed bytes, and several channels' indices are split into blocks,
+    interleaved and joined again.  An entry holds the blocks' fragments
     concatenated, their summed width and their numbers of k- and width-0
     discards.  For n > 16 the table sums run only on blocks that are
     neither empty nor full.
@@ -355,23 +358,27 @@ class _BlockCodec:
 
     def _index(self, packed: np.ndarray, n_blocks: int) -> np.ndarray:
         """Folded-table indices of ``per`` consecutive blocks each, from
-        packed rows of ``n_blocks`` blocks; zero bits pad the last."""
+        one packed channel of ``n_blocks`` blocks; zero bits pad the last."""
+        span = self.n * self._per
+        if span == _SPAN:  # a 16-bit word of the packed bytes
+            packed = np.concatenate((packed, np.zeros(packed.size % 2, np.uint8)))
+            return packed.view(">u2").astype(np.intp)
+        words = _block_words(packed, span, -(-n_blocks // self._per))
+        return (words >> np.uint64(64 - span)).astype(np.intp)
+
+    def _rejoin(self, indices: list[np.ndarray], n_blocks: int) -> np.ndarray:
+        """Indices of ``per`` blocks in (block, channel) order, from each
+        channel's own: split into n-bit blocks, interleaved, joined again."""
         n, per = self.n, self._per
-        if packed.ndim == 1:
-            span = n * per
-            if span == _SPAN:  # a 16-bit word of the packed bytes
-                packed = np.concatenate((packed, np.zeros(packed.size % 2, np.uint8)))
-                return packed.view(">u2").astype(np.intp)
-            words = _block_words(packed, span, -(-n_blocks // per))
-            return (words >> np.uint64(64 - span)).astype(np.intp)
-        # channels interleaved block by block: join ``per`` block words
-        words = _block_words(packed, n, n_blocks)
-        index = (words[0::per] >> np.uint64(64 - n)).astype(np.int64)
+        shifts = np.uint16(n) * np.arange(per - 1, -1, -1, dtype=np.uint16)
+        blocks = np.stack(indices).astype(np.uint16)[:, :, None] >> shifts
+        blocks &= np.uint16((1 << n) - 1)
+        blocks = _interleave(list(blocks.reshape(len(indices), -1)[:, :n_blocks]))
+        blocks = np.concatenate((blocks, np.zeros(-blocks.size % per, np.uint16)))
+        index = blocks[0::per] << shifts[0]
         for j in range(1, per):
-            index <<= n
-            block = words[j::per] >> np.uint64(64 - n)
-            index[: block.size] |= block.view(np.int64)
-        return index
+            index |= blocks[j::per] << shifts[j]
+        return index.astype(np.intp)
 
     def encode(self, windows: np.ndarray):
         """Encode a 0/1 window array, 1-D or (channels, windows), whose
@@ -382,10 +389,12 @@ class _BlockCodec:
         block order, each covering one or more blocks; discarded blocks
         add no bits.  ``stats.windows_seen`` is left to the caller.
         """
-        n_blocks = windows.size // self.n
-        packed = np.packbits(windows, axis=-1)
+        n, per = self.n, self._per
+        n_blocks = windows.size // n
+        rows = np.atleast_2d(np.packbits(windows, axis=-1))
+        row_blocks = windows.shape[-1] // n
         if self._folded is None:
-            words = _block_words(packed, self.n, windows.shape[-1] // self.n) & self._mask
+            words = _interleave([_block_words(row, n, row_blocks) for row in rows]) & self._mask
             live = (words != 0) & (words != self._mask)  # k = 0 and k = n emit nothing
             if not live.all():
                 words = words[live]
@@ -393,12 +402,13 @@ class _BlockCodec:
             k_discards = n_blocks - words.size
             alpha0 = int(np.count_nonzero(widths == 0))
         else:
-            index = self._index(packed, windows.shape[-1] // self.n)
+            index = [self._index(row, row_blocks) for row in rows]
+            index = index[0] if len(index) == 1 else self._rejoin(index, row_blocks)
             table_values, table_widths, table_discards = self._folded
             values, widths = table_values[index], table_widths[index]
             discards = table_discards[index].view(np.uint8)
             # the last index's zero padding reads as k = 0 blocks
-            k_discards = int(discards[0::2].sum()) - (self._per * index.size - n_blocks)
+            k_discards = int(discards[0::2].sum()) - (per * index.size - n_blocks)
             alpha0 = int(discards[1::2].sum())
         stats = ExtractStats(
             blocks_scanned=n_blocks,
@@ -426,7 +436,7 @@ class StreamingMerger:
     the output does not depend on the chunking.  ``round-robin-block``
     orders blocks by (block index, channel position) and needs every
     feed to leave the channels at equal full-block counts; the codec
-    takes the channels as rows and interleaves their block words, up to
+    takes the channels as rows and interleaves their blocks, up to
     ``_INTERLEAVE`` windows per channel at a time;
     ``per-channel`` concatenates whole channels in order.  With one
     channel both policies give the plain block-order output.
@@ -463,8 +473,9 @@ class StreamingMerger:
         self._remainders = [arr[u:].copy() for arr, u in zip(joined, usable)]
         streams = [arr[:u] for arr, u in zip(joined, usable)]
         if round_robin:
-            # equal block counts: the codec interleaves the channels' block
-            # words, a slice at a time so that the words stay few
+            # equal block counts: the codec takes the channels as rows and
+            # interleaves their blocks, a slice at a time so that the
+            # copies stay small
             step = -(-_INTERLEAVE // n) * n
             channels = streams
             streams = (
