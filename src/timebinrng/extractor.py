@@ -17,11 +17,10 @@ One table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`);
 it reads blocks from the packed chunk, up to 16 windows per lookup for
 n <= 16.  Round-robin merging packs and cuts each channel on its own and
 interleaves the channels' blocks, not their windows: 64-bit block words
-for n > 16, n-bit block values for n <= 16.
-Neighbouring fragments are joined pairwise while the result surely fits
-64 bits, then ORed into big-endian 64-bit words, most significant bit
-first.  The tests check this codec against the brute-force encoder in
-``tests/oracles.py``.
+for n > 16, n-bit block values for n <= 16.  Neighbouring fragments are
+joined pairwise while the result surely fits 64 bits, then ORed into
+big-endian 64-bit words, most significant bit first.  The tests check
+this codec against the brute-force encoder in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
