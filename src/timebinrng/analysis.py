@@ -17,7 +17,7 @@ import numpy as np
 from .combinatorics import binomial
 from .errors import DomainError, UnsupportedCaseError
 from .extractor import DetectionStream, as_bit_array
-from .streamio import atomic_open, write_ascii_bits, write_meta
+from .streamio import write_ascii_bits, write_packed_bits
 
 MAX_WORD_BITS = 16
 _UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
@@ -293,9 +293,7 @@ def export_nist(bits, path, fmt: str = "ascii") -> Path:
     if fmt == "ascii":
         write_ascii_bits(path, arr)
     elif fmt == "packed":
-        with atomic_open(path) as fh:
-            fh.write(np.packbits(arr).tobytes())
-        write_meta(path, {"format": "packed-bits-msb-first", "total_bits": int(arr.size)})
+        write_packed_bits(path, np.packbits(arr).tobytes(), int(arr.size))
     else:
         raise DomainError(f"unknown export format {fmt!r}")
     return path

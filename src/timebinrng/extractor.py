@@ -225,16 +225,24 @@ _INTERLEAVE = 1 << 20  # windows per channel interleaved at a time
 
 
 def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
-    """The n-window blocks of an MSB-first packed stream as left-aligned
-    uint64 words; the bits after each block are those that follow it.
+    """The n-window blocks of an MSB-first packed stream in the n leading
+    bits of uint64 words; the bits after them are not specified.
 
-    Eight blocks fill n bytes, so block r of every eight starts at bit
-    r*n % 8 of byte r*n // 8 of its n-byte row: one strided big-endian
-    8-byte read and one shift, plus a ninth byte where bit + n > 64.
+    Where 8 divides n, every block starts on a byte: one big-endian 8-byte
+    read every n // 8 bytes, of the row itself unless the last reads run
+    past it (n < 64).  Otherwise eight blocks fill n bytes, so block r of
+    every eight starts at bit r*n % 8 of byte r*n // 8 of its n-byte row:
+    one strided big-endian 8-byte read and one shift, plus a ninth byte
+    where bit + n > 64.
     """
-    groups = -(-n_blocks // 8)
-    if not groups:
+    if not n_blocks:
         return np.zeros(0, dtype=np.uint64)
+    if n % 8 == 0:
+        end = (n_blocks - 1) * (n // 8) + 8  # where the last read ends
+        if packed.size < end:
+            packed = np.concatenate((packed, np.zeros(end - packed.size, np.uint8)))
+        return np.ndarray(n_blocks, ">u8", packed, 0, (n // 8,)).astype(np.uint64)
+    groups = -(-n_blocks // 8)
     buf = np.zeros(groups * n + 8, dtype=np.uint8)  # room for the last row's reads
     buf[: packed.size] = packed
     words = np.empty((groups, 8), dtype=np.uint64)
@@ -379,21 +387,23 @@ class _BlockCodec:
             index |= blocks[j::per] << shifts[j]
         return index.astype(np.intp)
 
-    def encode(self, windows: np.ndarray):
-        """Encode a 0/1 window array, 1-D or (channels, windows), whose
-        rows hold a multiple of ``n`` windows; blocks of several channels
-        are taken in (block, channel) order.
+    def encode(self, windows):
+        """Encode 0/1 windows: one row as a 1-D array, or equal rows, one
+        per channel, as a 2-D array or a sequence of 1-D arrays.  Each row
+        holds a multiple of ``n`` windows and is only read; blocks of
+        several rows are taken in (block, row) order.
 
         Returns (values, widths, stats): fragments of 0..64 bits in
         block order, each covering one or more blocks; discarded blocks
         add no bits.  ``stats.windows_seen`` is left to the caller.
         """
         n, per = self.n, self._per
-        n_blocks = windows.size // n
-        rows = np.atleast_2d(np.packbits(windows, axis=-1))
-        row_blocks = windows.shape[-1] // n
+        rows = [windows] if isinstance(windows, np.ndarray) and windows.ndim == 1 else windows
+        packed = [np.packbits(row) for row in rows]
+        row_blocks = len(rows[0]) // n
+        n_blocks = row_blocks * len(packed)
         if self._folded is None:
-            words = _interleave([_block_words(row, n, row_blocks) for row in rows]) & self._mask
+            words = _interleave([_block_words(row, n, row_blocks) for row in packed]) & self._mask
             live = (words != 0) & (words != self._mask)  # k = 0 and k = n emit nothing
             if not live.all():
                 words = words[live]
@@ -401,7 +411,7 @@ class _BlockCodec:
             k_discards = n_blocks - words.size
             alpha0 = int(np.count_nonzero(widths == 0))
         else:
-            index = [self._index(row, row_blocks) for row in rows]
+            index = [self._index(row, row_blocks) for row in packed]
             index = index[0] if len(index) == 1 else self._rejoin(index, row_blocks)
             table_values, table_widths, table_discards = self._folded
             values, widths = table_values[index], table_widths[index]
@@ -435,7 +445,7 @@ class StreamingMerger:
     the output does not depend on the chunking.  ``round-robin-block``
     orders blocks by (block index, channel position) and needs every
     feed to leave the channels at equal full-block counts; the codec
-    takes the channels as rows and interleaves their blocks, up to
+    takes the channels' slices as rows and interleaves their blocks, up to
     ``_INTERLEAVE`` windows per channel at a time;
     ``per-channel`` concatenates whole channels in order.  With one
     channel both policies give the plain block-order output.
@@ -472,15 +482,13 @@ class StreamingMerger:
         self._remainders = [arr[u:].copy() for arr, u in zip(joined, usable)]
         streams = [arr[:u] for arr, u in zip(joined, usable)]
         if round_robin:
-            # equal block counts: the codec takes the channels as rows and
-            # interleaves their blocks, a slice at a time so that the
-            # copies stay small
+            # equal block counts: the codec takes the channels' slices as
+            # rows, uncopied, and interleaves their blocks, a slice at a
+            # time so that its temporaries stay small
             step = -(-_INTERLEAVE // n) * n
             channels = streams
-            streams = (
-                np.stack([s[lo : lo + step] for s in channels])
-                for lo in range(0, usable[0], step)
-            )
+            cuts = range(0, usable[0], step)
+            streams = (tuple(s[lo : lo + step] for s in channels) for lo in cuts)
             packers = itertools.repeat(packers[0])
         for packer, arr in zip(packers, streams):
             values, widths, stats = self._codec.encode(arr)

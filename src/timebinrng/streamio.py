@@ -242,21 +242,24 @@ def write_ascii_bits(path, bits) -> None:
 # extracted-bit files
 
 
+def write_packed_bits(path, data: bytes, total_bits: int, extra: dict | None = None) -> None:
+    """Write MSB-first packed bytes plus a sidecar with their exact bit
+    count and the ``extra`` keys."""
+    with atomic_open(path) as fh:
+        fh.write(data)
+    meta = {"format": "packed-bits-msb-first", "total_bits": total_bits}
+    write_meta(path, {**meta, **(extra or {})})
+
+
 def write_bit_output(path, out: BitOutput, fmt: str = "packed", extra: dict | None = None) -> None:
     """Write extractor output as packed bytes plus sidecar, or as ASCII."""
-    path = Path(path)
     if fmt == "ascii":
         write_ascii_bits(path, out.bit_array())
-        return
-    if fmt != "packed":
+    elif fmt == "packed":
+        stats = {"stats": asdict(out.stats)}
+        write_packed_bits(path, out.data, out.total_bits, {**stats, **(extra or {})})
+    else:
         raise StreamFormatError(f"unknown bit output format {fmt!r}")
-    with atomic_open(path) as fh:
-        fh.write(out.data)
-    stats = asdict(out.stats)
-    meta = {"format": "packed-bits-msb-first", "total_bits": out.total_bits, "stats": stats}
-    if extra:
-        meta.update(extra)
-    write_meta(path, meta)
 
 
 def read_bits(path) -> np.ndarray:

@@ -22,6 +22,7 @@ from timebinrng.combinatorics import MAX_BLOCK_LEN, binary_expansion, unrank_com
 from timebinrng.extractor import (
     _BATCH,
     MERGE_POLICIES,
+    _block_words,
     _codec,
     _premerge,
     fragments_to_bit_array,
@@ -461,6 +462,21 @@ class TestLargeBlocks:
         assert abs(rate - binary_rate(64, 0.5)) < 0.01
 
 
+class TestBlockWords:
+    @pytest.mark.parametrize("n", range(17, MAX_BLOCK_LEN + 1))
+    def test_words_match_unpacked_bits(self, n):
+        # each word's n leading bits hold its block; the row is cut at
+        # exactly ceil(n * n_blocks / 8) bytes, so the last reads run past it
+        rng = np.random.default_rng(n)
+        for n_blocks in range(1, 18):
+            bits = rng.integers(0, 2, n * n_blocks, dtype=np.uint8)
+            packed = np.packbits(bits)
+            assert packed.size == -(-n * n_blocks // 8)
+            words = _block_words(packed, n, n_blocks).astype(">u8")
+            got = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1)
+            assert np.array_equal(got[:, :n], bits.reshape(n_blocks, n))
+
+
 class TestFragmentsToBitArray:
     def test_expansion_is_msb_first(self):
         bits = fragments_to_bit_array(
@@ -523,7 +539,7 @@ class TestMergerOracle:
         assert (out.data, out.total_bits) == (data_, total_bits)
         assert vars(out.stats) == stats
 
-    @pytest.mark.parametrize("n", [2, 4, 5, 16, 17, 64])
+    @pytest.mark.parametrize("n", [2, 4, 5, 16, 17, 24, 40, 64])
     @given(data=st.data())
     @settings(max_examples=50)
     def test_several_interleave_steps_per_feed(self, n, data):
@@ -553,6 +569,25 @@ class TestMergerOracle:
         data_, total_bits, stats = reference_merge(chans, n, policy)
         assert (out.data, out.total_bits) == (data_, total_bits)
         assert vars(out.stats) == stats
+
+    @pytest.mark.parametrize("policy", MERGE_POLICIES)
+    @pytest.mark.parametrize("n", [4, 17, 64])
+    def test_read_only_inputs(self, n, policy):
+        # the codec reads the callers' arrays in place, so it must never write
+        rng = np.random.default_rng(n)
+        chans = [(rng.random(40 * n + 3) < 0.4).astype(np.uint8) for _ in range(2)]
+        originals = [w.copy() for w in chans]
+        for w in chans:
+            w.setflags(write=False)
+        merger = StreamingMerger(n, 2, policy)
+        with mock.patch.object(extractor, "_INTERLEAVE", 7 * n):
+            for lo, hi in [(0, 13 * n + 1), (13 * n + 1, 40 * n + 3)]:
+                merger.feed([w[lo:hi] for w in chans])
+        out = merger.finish()
+        data_, total_bits, stats = reference_merge(chans, n, policy)
+        assert (out.data, out.total_bits) == (data_, total_bits)
+        assert vars(out.stats) == stats
+        assert all(np.array_equal(w, o) for w, o in zip(chans, originals))
 
     def test_premerge_fills_whole_words(self):
         # n = 2 has 1-bit fragments, 8 to a 16-window index; three pairwise

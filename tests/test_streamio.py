@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from timebinrng import DetectionStream, DomainError, StreamFormatError, extract
+from timebinrng import DetectionStream, DomainError, StreamFormatError, export_nist, extract
 from timebinrng import streamio
 
 
@@ -149,6 +149,19 @@ class TestBitFiles:
         assert meta["stats"]["bits_emitted"] == out.stats.bits_emitted
         back = streamio.read_bits(path)
         assert np.array_equal(back, out.bit_array())
+
+    def test_sidecar_keys(self, tmp_path):
+        # extract's sidecar and the exported bit file's share one writer
+        out = extract(random_stream(1000))
+        streamio.write_bit_output(tmp_path / "a.bin", out, extra={"command": "extract"})
+        streamio.write_bit_output(tmp_path / "b.bin", out)
+        export_nist(out.bit_array(), tmp_path / "c.bin", "packed")
+        keys = [set(streamio.read_meta(tmp_path / f"{name}.bin")) for name in "abc"]
+        assert keys == [
+            {"format", "total_bits", "stats", "command"},
+            {"format", "total_bits", "stats"},
+            {"format", "total_bits"},
+        ]
 
     def test_ascii_round_trip(self, tmp_path):
         out = extract(random_stream(1000))
