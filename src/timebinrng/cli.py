@@ -214,14 +214,16 @@ def _cmd_simulate(args, argv: list[str]) -> int:
 
 
 def _open_input(path, chunk_windows: int):
-    """Window count, window period (s; None for ASCII) and chunk iterator."""
+    """Window count, window period (s; None for ASCII) and payload chunks."""
     if streamio.is_tbd1(path):
         header = streamio.read_stream_header(path)
-        chunks = streamio.iter_stream_windows(path, chunk_windows, _header=header)
+        chunks = streamio.iter_stream_payload(path, chunk_windows, _header=header)
         return header[0], header[1] * 1e-9, chunks
     windows = streamio.read_ascii_bits(path)
-    chunks = (windows[i : i + chunk_windows] for i in range(0, windows.size, chunk_windows))
-    return windows.size, None, chunks
+    count, packed = windows.size, np.packbits(windows)
+    chunks = ((packed[i // 8 : (i + chunk_windows) // 8], min(chunk_windows, count - i))
+              for i in range(0, count, chunk_windows))
+    return count, None, chunks
 
 
 def _cmd_extract(args, argv: list[str]) -> int:
@@ -237,9 +239,8 @@ def _cmd_extract(args, argv: list[str]) -> int:
             f"got {list(counts)}"
         )
     merger = StreamingMerger(args.block_len, len(inputs), args.merge)
-    empty = np.zeros(0, dtype=np.uint8)
-    for chunks in itertools.zip_longest(*iters, fillvalue=empty):
-        merger.feed(chunks)
+    for chunks in itertools.zip_longest(*iters, fillvalue=(np.zeros(0, dtype=np.uint8), 0)):
+        merger.feed(*zip(*chunks))
     result = merger.finish()
 
     streamio.write_bit_output(

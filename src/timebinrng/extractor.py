@@ -13,14 +13,15 @@ position patterns are equally likely, which holds whenever the click
 probability is constant within one block.  Nothing else about the
 stream enters the output, so slow drift between blocks cannot bias it.
 
-One table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`);
-it reads blocks from the packed chunk, up to 16 windows per lookup for
-n <= 16.  Round-robin merging packs and cuts each channel on its own and
-interleaves the channels' blocks, not their windows: 64-bit block words
-for n > 16, n-bit block values for n <= 16.  Neighbouring fragments are
-joined pairwise while the result surely fits 64 bits, then ORed into
-big-endian 64-bit words, most significant bit first.  The tests check
-this codec against the brute-force encoder in ``tests/oracles.py``.
+Rows stay packed end to end: TIMEBIN1 payloads reach the codec as read,
+window arrays are packed once, and partial blocks carry over as bits.  One
+table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`), up
+to 16 windows per lookup for n <= 16.  Round-robin merging interleaves the
+channels' blocks, not their windows: 64-bit block words for n > 16, n-bit
+values for n <= 16.  Neighbouring fragments are joined pairwise while the
+result surely fits 64 bits, then ORed into big-endian 64-bit words, most
+significant bit first.  The tests check this codec against the
+brute-force encoder in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,21 @@ def fragments_to_bit_array(values: np.ndarray, lengths: np.ndarray) -> np.ndarra
     packer = BitPacker()
     packer.add(values, lengths)
     return unpack_bits(packer.getvalue(), packer.bit_length)
+
+
+def join_packed(carry: tuple[int, int], payload: np.ndarray, usable: int, total: int):
+    """Join the carried (value, width) bits and the payload's, ``total`` bits in all:
+    the bytes of the first ``usable`` and the rest as the next carry; later bits drop."""
+    (value, bits), row = carry, payload
+    if bits:  # shifted by 3 array operations, unless the carry is whole bytes
+        (lead, shift), head = divmod(bits, 8), (value << -bits % 8).to_bytes(-(-bits // 8), "big")
+        row = np.zeros(lead + 1 + payload.size, dtype=np.uint8)
+        row[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+        row[lead : lead + payload.size] |= payload >> shift
+        if shift:
+            row[lead + 1 :] |= payload << (8 - shift)
+    tail = int.from_bytes(row[usable // 8 : -(-total // 8)].tobytes(), "big") >> (-total % 8)
+    return row[: -(-usable // 8)], (tail & ((1 << (total - usable)) - 1), total - usable)
 
 
 def unpack_bits(data: bytes, total_bits: int) -> np.ndarray:
@@ -366,12 +382,15 @@ class _BlockCodec:
     def _index(self, packed: np.ndarray, n_blocks: int) -> np.ndarray:
         """Folded-table indices of ``per`` consecutive blocks each, from
         one packed channel of ``n_blocks`` blocks; zero bits pad the last."""
-        span = self.n * self._per
+        span, count = self.n * self._per, -(-n_blocks // self._per)
         if span == _SPAN:  # a 16-bit word of the packed bytes
             packed = np.concatenate((packed, np.zeros(packed.size % 2, np.uint8)))
-            return packed.view(">u2").astype(np.intp)
-        words = _block_words(packed, span, -(-n_blocks // self._per))
-        return (words >> np.uint64(64 - span)).astype(np.intp)
+            index = packed.view(">u2").astype(np.intp)
+        else:
+            index = (_block_words(packed, span, count) >> np.uint64(64 - span)).astype(np.intp)
+        if self._per * count > n_blocks:  # zero the bits after the blocks
+            index[-1] &= -1 << self.n * (self._per * count - n_blocks)
+        return index
 
     def _rejoin(self, indices: list[np.ndarray], n_blocks: int) -> np.ndarray:
         """Indices of ``per`` blocks in (block, channel) order, from each
@@ -387,20 +406,18 @@ class _BlockCodec:
             index |= blocks[j::per] << shifts[j]
         return index.astype(np.intp)
 
-    def encode(self, windows):
-        """Encode 0/1 windows: one row as a 1-D array, or equal rows, one
-        per channel, as a 2-D array or a sequence of 1-D arrays.  Each row
-        holds a multiple of ``n`` windows and is only read; blocks of
-        several rows are taken in (block, row) order.
+    def encode(self, rows, row_blocks: int):
+        """Encode the ``row_blocks`` blocks that lead each uint8 row of
+        ceil(row_blocks * n / 8) bytes, MSB first; later bits are ignored.
+        One row is a 1-D array, equal rows (one per channel) a 2-D array or a
+        sequence; rows are only read, their blocks taken in (block, row) order.
 
         Returns (values, widths, stats): fragments of 0..64 bits in
         block order, each covering one or more blocks; discarded blocks
         add no bits.  ``stats.windows_seen`` is left to the caller.
         """
         n, per = self.n, self._per
-        rows = [windows] if isinstance(windows, np.ndarray) and windows.ndim == 1 else windows
-        packed = [np.packbits(row) for row in rows]
-        row_blocks = len(rows[0]) // n
+        packed = [rows] if isinstance(rows, np.ndarray) and rows.ndim == 1 else rows
         n_blocks = row_blocks * len(packed)
         if self._folded is None:
             words = _interleave([_block_words(row, n, row_blocks) for row in packed]) & self._mask
@@ -440,15 +457,15 @@ def _codec(block_len: int) -> _BlockCodec:
 class StreamingMerger:
     """Chunked extraction of 1..k channels into one bit output.
 
-    Every :meth:`feed` supplies one window chunk per channel.  Each
-    channel carries its trailing partial block into the next feed, so
-    the output does not depend on the chunking.  ``round-robin-block``
-    orders blocks by (block index, channel position) and needs every
-    feed to leave the channels at equal full-block counts; the codec
-    takes the channels' slices as rows and interleaves their blocks, up to
-    ``_INTERLEAVE`` windows per channel at a time;
-    ``per-channel`` concatenates whole channels in order.  With one
-    channel both policies give the plain block-order output.
+    Every :meth:`feed` supplies one chunk per channel, as windows or as
+    packed payload bytes.  Each channel carries its trailing partial block
+    into the next feed as bits, so the output does not depend on the
+    chunking.  ``round-robin-block`` orders blocks by (block index, channel
+    position) and needs every feed to leave the channels at equal full-block
+    counts; the codec takes the channels' byte slices as rows and interleaves
+    their blocks, whole bytes of at least ``_INTERLEAVE`` windows per channel
+    at a time; ``per-channel`` concatenates whole channels in order.  With
+    one channel both policies give the plain block-order output.
     """
 
     def __init__(self, block_len: int, n_channels: int = 1, policy: str = "round-robin-block"):
@@ -457,41 +474,42 @@ class StreamingMerger:
         if n_channels < 1:
             raise DomainError("need at least one channel")
         self._codec = _codec(block_len)
-        self._remainders = [np.zeros(0, dtype=np.uint8) for _ in range(n_channels)]
+        self._remainders = ((0, 0),) * n_channels  # (value, bit count) of a partial block
         # per-channel merging keeps one packer per channel until finish()
         self._packers = [BitPacker() for _ in range(n_channels if policy == "per-channel" else 1)]
         self.stats = ExtractStats()
 
-    def feed(self, per_channel_windows: Sequence[np.ndarray]) -> None:
-        if len(per_channel_windows) != len(self._remainders):
-            raise DomainError(
-                f"expected {len(self._remainders)} channel chunks, got {len(per_channel_windows)}"
-            )
+    def feed(self, chunks: Sequence[np.ndarray], counts: Sequence[int] | None = None) -> None:
+        """One chunk per channel: 0/1 window arrays, or with ``counts`` uint8
+        payloads of counts[i] windows packed MSB first (later bits ignored)."""
+        if len(chunks) != len(self._remainders):
+            raise DomainError(f"expected {len(self._remainders)} channel chunks, got {len(chunks)}")
+        if counts is None:
+            counts = [np.size(win) for win in chunks]
+            chunks = [np.packbits(as_bit_array(win)) for win in chunks]
+        elif len(counts) != len(chunks) or not all(
+            (p.dtype, p.ndim) == (np.uint8, 1) and 0 <= c <= 8 * p.size
+            for p, c in zip(chunks, counts)
+        ):
+            raise DomainError("payloads must be 1-D uint8 arrays of ceil(count / 8) bytes or more")
         n = self._codec.n
-        chunks = [as_bit_array(win) for win in per_channel_windows]
-        joined = [
-            np.concatenate([rem, arr]) if rem.size else arr
-            for rem, arr in zip(self._remainders, chunks)
-        ]
-        usable = [arr.size - arr.size % n for arr in joined]
-        packers = self._packers
-        round_robin = len(joined) > len(packers)
+        totals = [bits + c for (_, bits), c in zip(self._remainders, counts)]
+        usable = [t - t % n for t in totals]
+        round_robin = len(chunks) > len(self._packers)
         if round_robin and len(set(usable)) > 1:  # before any state changes
             raise DomainError("channel chunks must cover equal full-block counts")
-        self.stats.windows_seen += sum(arr.size for arr in chunks)
-        self._remainders = [arr[u:].copy() for arr, u in zip(joined, usable)]
-        streams = [arr[:u] for arr, u in zip(joined, usable)]
+        self.stats.windows_seen += int(sum(counts))
+        rows, self._remainders = zip(*map(join_packed, self._remainders, chunks, usable, totals))
+        packers, jobs = self._packers, [(row, u // n) for row, u in zip(rows, usable)]
         if round_robin:
-            # equal block counts: the codec takes the channels' slices as
-            # rows, uncopied, and interleaves their blocks, a slice at a
-            # time so that its temporaries stay small
-            step = -(-_INTERLEAVE // n) * n
-            channels = streams
-            cuts = range(0, usable[0], step)
-            streams = (tuple(s[lo : lo + step] for s in channels) for lo in cuts)
+            # equal block counts: the codec takes the channels' byte slices as
+            # rows, uncopied, and interleaves their blocks a slice at a time
+            step = -(-_INTERLEAVE // (8 * n)) * n  # bytes of whole blocks
+            jobs = [(tuple(r[lo : lo + step] for r in rows), min(8 * step, usable[0] - 8 * lo) // n)
+                    for lo in range(0, rows[0].size, step)]
             packers = itertools.repeat(packers[0])
-        for packer, arr in zip(packers, streams):
-            values, widths, stats = self._codec.encode(arr)
+        for packer, job in zip(packers, jobs):
+            values, widths, stats = self._codec.encode(*job)
             self.stats.add(stats)
             packer.add(*_premerge(values, widths, self._codec.levels))
 

@@ -8,6 +8,8 @@ Binary stream format ``TIMEBIN1``::
     bytes 24..31  channel id, little-endian u64
     bytes 32..    windows packed 8 per byte, MSB first, zero padded
 
+The extractor takes payloads packed, as :func:`iter_stream_payload` reads them.
+
 ASCII streams and bit files use one '0'/'1' character per window/bit;
 whitespace is ignored on input.  Packed bit files carry their exact bit
 count in an adjacent ``<name>.meta.json`` sidecar.
@@ -30,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, StreamFormatError
-from .extractor import BitOutput, DetectionStream, as_bit_array
+from .extractor import BitOutput, DetectionStream, as_bit_array, join_packed
 
 MAGIC = b"TIMEBIN1"
 _HEADER = struct.Struct("<8sQQQ")
@@ -100,26 +102,23 @@ class StreamWriter:
         self._period_ns = check_period_ns(window_period_ns)
         self._channel = int(channel_id)
         self._count = 0
-        self._tail = np.zeros(0, dtype=np.uint8)
+        self._tail = (0, 0)  # (value, width) of the bits short of a byte
         self._output = atomic_open(path)
         self._fh = self._output.__enter__()
         self._fh.write(_HEADER.pack(MAGIC, 0, self._period_ns, self._channel))
 
     def write(self, windows) -> None:
         arr = as_bit_array(windows)
+        total = self._tail[1] + arr.size
+        row, self._tail = join_packed(self._tail, np.packbits(arr), total - total % 8, total)
+        self._fh.write(row.tobytes())
         self._count += int(arr.size)
-        if self._tail.size:
-            arr = np.concatenate([self._tail, arr])
-        cut = (arr.size // 8) * 8
-        if cut:
-            self._fh.write(np.packbits(arr[:cut]).tobytes())
-        self._tail = arr[cut:].copy()
 
     def close(self) -> None:
         if self._fh.closed:
             return
-        if self._tail.size:
-            self._fh.write(np.packbits(self._tail).tobytes())
+        value, bits = self._tail
+        self._fh.write((value << -bits % 8).to_bytes(-(-bits // 8), "big"))
         self._fh.seek(8)
         self._fh.write(struct.pack("<Q", self._count))
         self._output.__exit__(None, None, None)
@@ -172,10 +171,11 @@ def read_stream_header(path) -> tuple[int, int, int]:
     return count, period_ns, channel
 
 
-def iter_stream_windows(
+def iter_stream_payload(
     path, chunk_windows: int = 1 << 24, *, _header: tuple[int, int, int] | None = None
-) -> Iterator[np.ndarray]:
-    """Yield the stream's windows as 0/1 arrays of at most ``chunk_windows``.
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield (payload, window count) chunks of at most ``chunk_windows``
+    windows: the uint8 payload holds them packed MSB first, as stored.
 
     ``_header`` is what :func:`read_stream_header` returned for ``path``,
     from a caller that read it already; it is not read a second time.
@@ -191,7 +191,13 @@ def iter_stream_windows(
             if len(buf) < (take + 7) // 8:  # the file shrank since the header check
                 at = HEADER_SIZE + start // 8 + len(buf)
                 raise StreamFormatError(f"{path}: stream payload ends early", offset=at)
-            yield np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:take]
+            yield np.frombuffer(buf, dtype=np.uint8), take
+
+
+def iter_stream_windows(path, chunk_windows=1 << 24, *, _header=None) -> Iterator[np.ndarray]:
+    """The chunks of :func:`iter_stream_payload` as 0/1 window arrays."""
+    chunks = iter_stream_payload(path, chunk_windows, _header=_header)
+    return (np.unpackbits(payload)[:count] for payload, count in chunks)
 
 
 def read_stream(path) -> DetectionStream:

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from timebinrng import streamio
+from timebinrng import DetectionStream, merge_channels, streamio
 from timebinrng.cli import main
 
 
@@ -192,6 +193,30 @@ class TestExtract:
         )
         assert code == 0
         assert calls == list(map(str, streams))
+
+    @pytest.mark.parametrize("merge", ["round-robin-block", "per-channel"])
+    def test_packed_chunks_of_both_formats_match_the_library(self, tmp_path, capsys, merge):
+        # 17 does not divide the 136-window chunks, so partial blocks carry
+        # as bits, shifted; per-channel inputs of unequal length run out apart
+        rng = np.random.default_rng(4)
+        sizes = [1001, 1001] if merge == "round-robin-block" else [1001, 650]
+        chans = [(rng.random(size) < 0.3).astype(np.uint8) for size in sizes]
+        expected = merge_channels([DetectionStream(w) for w in chans], 17, merge)
+        for fmt in ("tbd1", "ascii"):
+            paths = [tmp_path / f"c{i}.{fmt}" for i in range(2)]
+            for path, w in zip(paths, chans):
+                if fmt == "ascii":
+                    streamio.write_ascii_bits(path, w)
+                else:
+                    streamio.write_stream(path, DetectionStream(w))
+            bits = tmp_path / f"{fmt}.bin"
+            code, _, _ = run(capsys, "extract", *map(str, paths), "-N", "17", "--merge", merge,
+                             "--chunk-windows", "136", "--out", str(bits))
+            assert code == 0
+            meta = json.loads(streamio.meta_path(bits).read_text())
+            assert bits.read_bytes() == expected.data
+            assert meta["total_bits"] == expected.total_bits
+            assert meta["stats"] == vars(expected.stats)
 
     @pytest.mark.parametrize("chunk", ["0", "-8", "7"])
     @pytest.mark.parametrize("fmt", ["ascii", "tbd1"])

@@ -382,21 +382,97 @@ class TestStreamingMerger:
             assert streamed.total_bits == one_shot.total_bits
             assert streamed.stats == one_shot.stats
 
-    def test_unequal_feed_changes_nothing(self):
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_unequal_feed_changes_nothing(self, packed):
         rng = np.random.default_rng(5)
         chans = [(rng.random(30) < 0.5).astype(np.uint8) for _ in range(2)]
+
+        def feed(merger, chunks):
+            if packed:
+                merger.feed([np.packbits(w) for w in chunks], [w.size for w in chunks])
+            else:
+                merger.feed(chunks)
+
         merger = StreamingMerger(4, 2)
-        merger.feed([w[:6] for w in chans])  # leaves a 2-window remainder in each channel
-        before = (merger.stats.windows_seen, [r.copy() for r in merger._remainders])
+        feed(merger, [w[:6] for w in chans])  # leaves a 2-window remainder in each channel
+        before = (vars(merger.stats).copy(), tuple(merger._remainders))
+        assert [bits for _, bits in before[1]] == [2, 2]
         with pytest.raises(DomainError, match="equal full-block"):
-            merger.feed([chans[0][6:14], chans[1][6:10]])  # 2 full blocks against 1
-        assert merger.stats.windows_seen == before[0] == 12
-        assert all(np.array_equal(r, b) for r, b in zip(merger._remainders, before[1]))
-        merger.feed([w[6:] for w in chans])
+            feed(merger, [chans[0][6:14], chans[1][6:10]])  # 2 full blocks against 1
+        assert merger.stats.windows_seen == 12
+        assert (vars(merger.stats), tuple(merger._remainders)) == before
+        feed(merger, [w[6:] for w in chans])
         fresh = StreamingMerger(4, 2)
         fresh.feed(chans)
         got, expected = merger.finish(), fresh.finish()
         assert (got.data, got.total_bits, got.stats) == (
+            expected.data, expected.total_bits, expected.stats
+        )
+
+
+class TestPackedFeed:
+    """``StreamingMerger.feed`` with packed payloads and window counts."""
+
+    def test_bits_after_the_count_are_ignored(self):
+        # 3 windows 101 with 1s after them in the payload's last byte; a join
+        # that ORed the carried byte into the next payload would turn the
+        # second chunk's 0000 0 into 1111 1 and emit from blocks that have none
+        windows = np.array([1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0], dtype=np.uint8)
+        expected = extract(DetectionStream(windows), 4)
+        cases = [(1, "round-robin-block"), (2, "round-robin-block"), (2, "per-channel")]
+        for n_channels, policy in cases:
+            merger = StreamingMerger(4, n_channels, policy)
+            merger.feed([np.array([0b1011_1111], dtype=np.uint8)] * n_channels, [3] * n_channels)
+            rest = np.packbits(windows[3:])
+            rest[-1] |= 0b111  # 13 windows, then three more stray bits
+            merger.feed([rest] * n_channels, [13] * n_channels)
+            out = merger.finish()
+            fresh = merge_channels([DetectionStream(windows)] * n_channels, 4, policy)
+            assert (out.data, out.total_bits, out.stats) == (
+                fresh.data, fresh.total_bits, fresh.stats
+            )
+            assert out.stats.bits_emitted == n_channels * expected.stats.bits_emitted
+
+    @pytest.mark.parametrize("n", [4, 5, 17, 64])
+    def test_stray_bits_after_the_last_block_emit_nothing(self, n):
+        # every bit after the payload's windows set: the codec must not read
+        # them as blocks, nor the carry keep them
+        windows = np.zeros(3 * n + 2, dtype=np.uint8)
+        windows[1] = 1
+        payload = np.packbits(np.ones(windows.size + 8 * 3, dtype=np.uint8))
+        payload[: (windows.size + 7) // 8] = np.packbits(windows)
+        payload[windows.size // 8] |= 0xFF >> windows.size % 8
+        merger = StreamingMerger(n)
+        merger.feed([payload], [windows.size])
+        merger.feed([np.zeros(n, dtype=np.uint8)], [8 * n - windows.size % n])
+        out = merger.finish()
+        full = np.concatenate((windows, np.zeros(8 * n - windows.size % n, np.uint8)))
+        expected = extract(DetectionStream(full), n)
+        assert (out.data, out.total_bits, out.stats) == (
+            expected.data, expected.total_bits, expected.stats
+        )
+
+    def test_short_payload_is_refused_before_any_state_changes(self):
+        merger = StreamingMerger(4, 2)
+        merger.feed([np.array([0b1010_0000], np.uint8)] * 2, [3, 3])
+        before = (vars(merger.stats).copy(), tuple(merger._remainders))
+        good = np.array([0b0110_1100, 0b1000_0000], np.uint8)
+        for payloads, counts in [
+            ([good, good[:1]], [9, 9]),  # 9 windows need 2 bytes
+            ([good, good], [9]),
+            ([good, good], [9, -1]),
+            ([good, good.astype(np.int64)], [9, 9]),
+            ([good, good[None, :]], [9, 9]),
+        ]:
+            with pytest.raises(DomainError, match="ceil"):
+                merger.feed(payloads, counts)
+        assert (vars(merger.stats), tuple(merger._remainders)) == before
+        merger.feed([good, good], [9, 9])
+        bits = np.unpackbits(np.array([0b1010_0000, 0b0110_1100, 0b1000_0000], np.uint8))
+        windows = np.concatenate((bits[:3], bits[8:17]))
+        expected = merge_channels([DetectionStream(windows)] * 2, 4)
+        out = merger.finish()
+        assert (out.data, out.total_bits, out.stats) == (
             expected.data, expected.total_bits, expected.stats
         )
 
@@ -570,6 +646,42 @@ class TestMergerOracle:
         assert (out.data, out.total_bits) == (data_, total_bits)
         assert vars(out.stats) == stats
 
+    @pytest.mark.parametrize("n", [2, 4, 5, 16, 17, 24, 64])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_ragged_packed_feeds(self, n, data):
+        # packed chunks of a multiple of 8 windows, but not of n where 8 allows
+        # it (n = 2 and 4 divide 8), and one chunk of any length, as a file's
+        # last, anywhere; its payload has stray bits after its windows
+        n_channels = data.draw(st.integers(1, 3), "channels")
+        policy = data.draw(st.sampled_from(MERGE_POLICIES), "policy")
+        eights = st.integers(1, 4 * n).map(lambda k: 8 * k)
+        sizes = data.draw(st.lists(eights.filter(lambda w: w % n or 8 % n == 0), max_size=5))
+        at = data.draw(st.integers(0, len(sizes)), "ragged chunk's place")
+        sizes.insert(at, data.draw(st.integers(0, 3 * n), "ragged chunk"))
+        interleave = data.draw(st.sampled_from([1, 1 << 20]), "_INTERLEAVE")
+        p = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), "p")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        chans = [(rng.random(sum(sizes)) < p).astype(np.uint8) for _ in range(n_channels)]
+        packed, windowed = (StreamingMerger(n, n_channels, policy) for _ in range(2))
+        lo = 0
+        with mock.patch.object(extractor, "_INTERLEAVE", interleave):
+            for size in sizes:
+                chunks = [w[lo : lo + size] for w in chans]
+                payloads = [np.packbits(c) for c in chunks]
+                for payload in payloads[: n_channels if size % 8 else 0]:
+                    payload[-1] |= rng.integers(0, 256, dtype=np.uint8) & (0xFF >> size % 8)
+                packed.feed(payloads, [size] * n_channels)
+                windowed.feed(chunks)
+                lo += size
+        got, expected = packed.finish(), windowed.finish()
+        assert (got.data, got.total_bits, got.stats) == (
+            expected.data, expected.total_bits, expected.stats
+        )
+        data_, total_bits, stats = reference_merge(chans, n, policy)
+        assert (got.data, got.total_bits) == (data_, total_bits)
+        assert vars(got.stats) == stats
+
     @pytest.mark.parametrize("policy", MERGE_POLICIES)
     @pytest.mark.parametrize("n", [4, 17, 64])
     def test_read_only_inputs(self, n, policy):
@@ -596,7 +708,7 @@ class TestMergerOracle:
         first = rng.integers(0, 2, 64, dtype=np.uint8)
         windows = np.stack([first, 1 - first], axis=1).ravel()  # 64 blocks with k = 1
         codec = _codec(2)
-        values, widths, _ = codec.encode(windows)
+        values, widths, _ = codec.encode(np.packbits(windows), 64)
         values, widths = _premerge(values, widths, codec.levels)
         assert widths.tolist() == [64]
         out = extract(DetectionStream(windows), 2)

@@ -114,6 +114,29 @@ class TestTbd1:
             next(chunks)
         assert err.value.offset == len(data) - 10
 
+    def test_payload_reader_shrinking_after_the_header_read_names_offset(self, tmp_path):
+        # the reader the CLI's extract uses: same check, same offset
+        path = tmp_path / "shrinks.tbd1"
+        stream = random_stream(1000)
+        streamio.write_stream(path, stream)
+        header = streamio.read_stream_header(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-10])
+        chunks = streamio.iter_stream_payload(path, chunk_windows=512, _header=header)
+        payload, count = next(chunks)
+        assert count == 512 and payload.tobytes() == np.packbits(stream.windows[:512]).tobytes()
+        with pytest.raises(StreamFormatError, match="payload ends early") as err:
+            next(chunks)
+        assert err.value.offset == len(data) - 10
+
+    def test_payload_chunks_are_the_stored_bytes(self, tmp_path):
+        path = tmp_path / "s.tbd1"
+        stream = random_stream(1001)
+        streamio.write_stream(path, stream)
+        chunks = list(streamio.iter_stream_payload(path, chunk_windows=496))
+        assert [count for _, count in chunks] == [496, 496, 9]
+        assert b"".join(p.tobytes() for p, _ in chunks) == path.read_bytes()[streamio.HEADER_SIZE :]
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "tiny.tbd1"
         path.write_bytes(b"TIMEBIN1\x01")
