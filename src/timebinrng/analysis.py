@@ -20,7 +20,7 @@ from .extractor import DetectionStream, as_bit_array
 from .streamio import write_ascii_bits, write_packed_bits
 
 MAX_WORD_BITS = 16
-_UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
+UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
 
 
 def fold_words(bits: np.ndarray, width: int) -> np.ndarray:
@@ -49,6 +49,8 @@ class MinEntropyReport:
     min_entropy: float
     deviation: float  # word_bits - min_entropy
     stat_error_scale: float
+    bound_5x_scale: float
+    passed: bool  # deviation < bound_5x_scale
 
 
 def min_entropy(bits, word_bits: int = 8) -> MinEntropyReport:
@@ -56,7 +58,8 @@ def min_entropy(bits, word_bits: int = 8) -> MinEntropyReport:
 
     H_inf = -log2(max word frequency); the deviation from ``word_bits``
     measures distance from uniform, to be read against
-    ``stat_error_scale`` for the sample size.
+    ``stat_error_scale`` for the sample size: it passes below five
+    times that scale.
     """
     if not (1 <= word_bits <= MAX_WORD_BITS):
         raise DomainError(f"word_bits must be in [1, {MAX_WORD_BITS}], got {word_bits}")
@@ -69,13 +72,16 @@ def min_entropy(bits, word_bits: int = 8) -> MinEntropyReport:
     histogram = np.bincount(words, minlength=1 << word_bits)
     word_count = int(words.size)
     h_inf = -math.log2(histogram.max() / word_count)
+    scale = statistical_error_scale(word_bits, word_count)
     return MinEntropyReport(
         word_bits=word_bits,
         word_count=word_count,
         histogram=histogram,
         min_entropy=h_inf,
         deviation=word_bits - h_inf,
-        stat_error_scale=statistical_error_scale(word_bits, word_count),
+        stat_error_scale=scale,
+        bound_5x_scale=5.0 * scale,
+        passed=word_bits - h_inf < 5.0 * scale,
     )
 
 
@@ -89,7 +95,9 @@ class UniformityMatrix:
 
     Patterns index the matrix by their MSB-first window value.  The
     deviations are maxima in units of each cell's own sampling standard
-    error, so "looks uniform" reads as a small single number.
+    error, so "looks uniform" reads as a small single number; the
+    matrix passes when both deviations stay below 5 and the same-k
+    imbalance below 4.
     """
 
     block_len: int
@@ -99,6 +107,7 @@ class UniformityMatrix:
     symmetry_deviation: float  # max |c(x,y)-c(y,x)| / sqrt(c(x,y)+c(y,x))
     independence_deviation: float  # max Pearson residual vs product of marginals
     subblock_max_z: float  # max pairwise count imbalance within an equal-k class
+    passed: bool
 
 
 def _pattern_popcounts(n: int) -> np.ndarray:
@@ -113,10 +122,8 @@ def k_grouped_order(block_len: int) -> np.ndarray:
 
 
 def uniformity_matrix(stream: DetectionStream, block_len: int = 4) -> UniformityMatrix:
-    if not (2 <= block_len <= _UNIFORMITY_MAX_BLOCK):
-        raise DomainError(
-            f"uniformity matrix supports block lengths 2..{_UNIFORMITY_MAX_BLOCK}"
-        )
+    if not (2 <= block_len <= UNIFORMITY_MAX_BLOCK):
+        raise DomainError(f"uniformity matrix supports block lengths 2..{UNIFORMITY_MAX_BLOCK}")
     windows = stream.windows
     n_blocks = windows.size // block_len
     if n_blocks < 2:
@@ -145,15 +152,15 @@ def uniformity_matrix(stream: DetectionStream, block_len: int = 4) -> Uniformity
         ind_z = np.where(expected >= 10, np.abs(counts - expected) / np.sqrt(expected), 0.0)
     independence_deviation = float(ind_z.max())
 
+    # for counts a <= b, (b - a) / sqrt(a + b) rises with b and falls with
+    # a, so each k class's largest pairwise value is its min against its max
     ks = _pattern_popcounts(block_len)
     sub_z = 0.0
     for k in range(1, block_len):
         cls = pattern_counts[ks == k]
-        for a in range(cls.size):
-            for b in range(a + 1, cls.size):
-                tot_ab = cls[a] + cls[b]
-                if tot_ab:
-                    sub_z = max(sub_z, abs(int(cls[a]) - int(cls[b])) / math.sqrt(tot_ab))
+        lo, hi = int(cls.min()), int(cls.max())
+        if hi:
+            sub_z = max(sub_z, (hi - lo) / math.sqrt(lo + hi))
 
     return UniformityMatrix(
         block_len=block_len,
@@ -162,7 +169,8 @@ def uniformity_matrix(stream: DetectionStream, block_len: int = 4) -> Uniformity
         pattern_counts=pattern_counts,
         symmetry_deviation=symmetry_deviation,
         independence_deviation=independence_deviation,
-        subblock_max_z=float(sub_z),
+        subblock_max_z=sub_z,
+        passed=symmetry_deviation < 5.0 and independence_deviation < 5.0 and sub_z < 4.0,
     )
 
 
@@ -247,12 +255,12 @@ class SanityReport:
         return {"monobit": self.monobit_z, "runs": self.runs_z, "lag1": self.lag1_z}
 
 
-def sanity_tests(bits, z_limit: float = 4.0) -> SanityReport:
+def sanity_tests(bits) -> SanityReport:
     """Quick pre-test screen: bit balance, run count, lag-1 correlation.
 
-    Pass means every statistic is within ``z_limit`` standard
-    deviations of its ideal; it is a smoke check, not a substitute for
-    a full statistical test battery.
+    Pass means every statistic is within 4 standard deviations of its
+    ideal; it is a smoke check, not a substitute for a full statistical
+    test battery.
     """
     arr = as_bit_array(bits)
     n = int(arr.size)
@@ -278,7 +286,7 @@ def sanity_tests(bits, z_limit: float = 4.0) -> SanityReport:
         corr = cov / denom
         lag1_z = corr * math.sqrt(n - 1.0)
 
-    passed = max(abs(monobit_z), abs(runs_z), abs(lag1_z)) < z_limit
+    passed = max(abs(monobit_z), abs(runs_z), abs(lag1_z)) < 4.0
     return SanityReport(n, monobit_z, runs_z, lag1_z, passed)
 
 

@@ -5,8 +5,16 @@ the exact argument vector, seeds, and toolkit version needed to
 reproduce it byte for byte.  All randomness flows from the --seed
 argument; nothing reads ambient entropy.
 
+``analyze`` prints one ``[check]`` section per requested check, in the
+order min-entropy, uniformity, sanity, with a blank line between
+sections.  Each holds the report's scalar fields as ``key = value``
+lines (ints exact, floats to 6 significant digits) and then
+``pass = true|false``, or a single ``error = ...`` line when the check
+cannot run on this input; the input file is read at most once.
+
 Exit codes: 0 success (and all requested property checks passed),
-1 a property check failed, 2 usage or input-format errors.
+1 a property check failed or could not run on its input, 2 usage or
+input-format errors.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analysis import MAX_WORD_BITS, UNIFORMITY_MAX_BLOCK
 from .analysis import min_entropy, sanity_tests, uniformity_matrix
 from .efficiency import (
     ModulationProfile,
@@ -276,101 +285,66 @@ def _cmd_extract(args, argv: list[str]) -> int:
 # analyze
 
 
-def _analyze_input(path):
-    """Classify the input: ('tbd1'|'packed'|'ascii')."""
-    if streamio.is_tbd1(path):
-        return "tbd1"
-    if streamio.meta_path(path).exists():
-        return "packed"
-    return "ascii"
+# one row per check, in report order: its section name, the input it reads
+# and the analysis call on that input as a 0/1 array
+_CHECKS = (
+    ("min-entropy", "bits", lambda data, args: min_entropy(data, args.word_bits)),
+    ("uniformity", "windows",
+     lambda data, args: uniformity_matrix(DetectionStream(data), args.block_len)),
+    ("sanity", "bits", lambda data, args: sanity_tests(data)),
+)
+_WRONG_INPUT = {
+    "bits": "bit-level checks need a bit file (ascii or packed); got a TIMEBIN1 window stream",
+    "windows":
+        "uniformity needs a window stream (TIMEBIN1 or ascii windows); got a packed bit file",
+}
+
+
+def _report(rep) -> dict:
+    """A report's scalar fields in order, then ``pass``."""
+    values = ((f.name, getattr(rep, f.name)) for f in fields(rep) if f.name != "passed")
+    return {**{k: v for k, v in values if not isinstance(v, np.ndarray)}, "pass": rep.passed}
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def _cmd_analyze(args, argv: list[str]) -> int:
-    checks = [
-        name
-        for name, wanted in (
-            ("min-entropy", args.min_entropy),
-            ("uniformity", args.uniformity),
-            ("sanity", args.sanity),
-        )
-        if wanted
-    ]
+    checks = [row for row in _CHECKS if getattr(args, row[0].replace("-", "_"))]
     if not checks:
         raise DomainError("select at least one of --min-entropy, --uniformity, --sanity")
-    kind = _analyze_input(args.input)
-    lines: list[str] = []
-    all_pass = True
-
-    def bits_input() -> np.ndarray:
-        if kind == "tbd1":
-            raise DomainError(
-                "bit-level checks need a bit file (ascii or packed); "
-                "got a TIMEBIN1 window stream"
-            )
-        return streamio.read_bits(args.input)
-
-    def window_stream() -> DetectionStream:
-        if kind == "packed":
-            raise DomainError(
-                "uniformity needs a window stream (TIMEBIN1 or ascii windows); "
-                "got a packed bit file"
-            )
-        if kind == "tbd1":
-            return streamio.read_stream(args.input)
-        return DetectionStream(streamio.read_ascii_bits(args.input))
-
-    for check in checks:
-        lines.append(f"[{check}]")
+    if args.min_entropy and not 1 <= args.word_bits <= MAX_WORD_BITS:
+        raise DomainError(f"--word-bits must be in 1..{MAX_WORD_BITS}, got {args.word_bits}")
+    if args.uniformity and not 2 <= args.block_len <= UNIFORMITY_MAX_BLOCK:
+        raise DomainError(f"--block-len must be in 2..{UNIFORMITY_MAX_BLOCK}, got {args.block_len}")
+    # a TIMEBIN1 stream holds windows, a file with a sidecar holds packed
+    # bits and an ASCII file serves as either; it is read once, if at all
+    path = args.input
+    tbd1 = streamio.is_tbd1(path)
+    kind = "windows" if tbd1 else "bits" if streamio.meta_path(path).exists() else None
+    data = None
+    sections, all_pass = [], True
+    for name, view, call in checks:
         try:
-            if check == "min-entropy":
-                rep = min_entropy(bits_input(), args.word_bits)
-                bound = 5.0 * rep.stat_error_scale
-                ok = rep.deviation < bound
-                lines += [
-                    f"word_bits = {rep.word_bits}",
-                    f"word_count = {rep.word_count}",
-                    f"min_entropy = {rep.min_entropy:.6f}",
-                    f"deviation = {rep.deviation:.6g}",
-                    f"stat_error_scale = {rep.stat_error_scale:.6g}",
-                    f"bound_5x_scale = {bound:.6g}",
-                    f"pass = {str(ok).lower()}",
-                ]
-            elif check == "uniformity":
-                rep = uniformity_matrix(window_stream(), args.block_len)
-                ok = (
-                    rep.symmetry_deviation < 5.0
-                    and rep.independence_deviation < 5.0
-                    and rep.subblock_max_z < 4.0
-                )
-                lines += [
-                    f"block_len = {rep.block_len}",
-                    f"pair_count = {rep.pair_count}",
-                    f"symmetry_deviation = {rep.symmetry_deviation:.4f}",
-                    f"independence_deviation = {rep.independence_deviation:.4f}",
-                    f"subblock_max_z = {rep.subblock_max_z:.4f}",
-                    f"pass = {str(ok).lower()}",
-                ]
-            else:
-                rep = sanity_tests(bits_input())
-                ok = rep.passed
-                lines += [
-                    f"n_bits = {rep.n_bits}",
-                    f"monobit_z = {rep.monobit_z:.4f}",
-                    f"runs_z = {rep.runs_z:.4f}",
-                    f"lag1_z = {rep.lag1_z:.4f}",
-                    f"pass = {str(ok).lower()}",
-                ]
+            if kind not in (None, view):
+                raise DomainError(_WRONG_INPUT[view])
+            if data is None:
+                data = streamio.read_stream(path).windows if tbd1 else streamio.read_bits(path)
+            report = _report(call(data, args))
         except DomainError as exc:  # format errors end the run with exit 2
-            lines.append(f"error = {exc}")
-            ok = False
-        all_pass = all_pass and ok
-        lines.append("")
+            report = {"error": str(exc)}
+        all_pass = all_pass and report.get("pass", False)
+        lines = (f"{key} = {_text(value)}" for key, value in report.items())
+        sections.append("\n".join([f"[{name}]", *lines]))
 
-    report = "\n".join(lines).rstrip() + "\n"
-    sys.stdout.write(report)
+    text = "\n\n".join(sections) + "\n"
+    sys.stdout.write(text)
     if args.out:
         with streamio.atomic_open(args.out) as fh:
-            fh.write(report.encode())
+            fh.write(text.encode())
         _write_manifest(args.out, argv, "analyze", [args.out])
     return 0 if all_pass else 1
 

@@ -84,6 +84,19 @@ def pack_reference(fragments):
     return data, len(bitstring)
 
 
+def subblock_max_z_reference(pattern_counts, n):
+    """Largest |c_x - c_y| / sqrt(c_x + c_y) over every pair of n-window
+    patterns x, y with the same avalanche count k, 0 < k < n, by a pairwise
+    loop; pairs with no blocks count 0."""
+    best = 0.0
+    for k in range(1, n):
+        cls = [int(pattern_counts[x]) for x in range(1 << n) if bin(x).count("1") == k]
+        for a, b in iter_combinations(cls, 2):
+            if a + b:
+                best = max(best, abs(a - b) / math.sqrt(a + b))
+    return best
+
+
 def afterpulse_reference(
     clicks: np.ndarray,
     u: np.ndarray,

@@ -21,6 +21,8 @@ from timebinrng import (
 )
 from timebinrng import streamio
 
+from oracles import subblock_max_z_reference
+
 # frozen against a 60-digit Decimal evaluation of the event probabilities
 DEFICIT_TAP_43E4 = 1.0014767433492367e-07
 DEFICIT_TAP_0033 = 6.4479864039054063e-04
@@ -80,6 +82,20 @@ class TestMinEntropy:
         with pytest.raises(DomainError):
             min_entropy(bits_from_string("01"), 3)
 
+    def test_passed_is_deviation_below_five_scales(self):
+        # 40,000 2-bit words, so the scale is 0.01; the most common word's
+        # count puts the deviation at 4.5 and then 5.5 scales
+        for top, expected in ((10_317, True), (10_388, False)):
+            words = np.repeat(np.arange(4), [top, 20_000 - top, 10_000, 10_000])
+            bits = ((words[:, None] >> np.array([1, 0])) & 1).ravel().astype(np.uint8)
+            rep = min_entropy(bits, 2)
+            assert rep.stat_error_scale == pytest.approx(0.01, rel=1e-12)
+            assert rep.deviation / rep.stat_error_scale == pytest.approx(
+                4.5 if expected else 5.5, abs=0.01
+            )
+            assert rep.bound_5x_scale == 5 * rep.stat_error_scale
+            assert rep.passed is (rep.deviation < rep.bound_5x_scale) is expected
+
 
 class TestStatErrorScale:
     def test_hundred_thousand_words_per_bin(self):
@@ -138,6 +154,54 @@ class TestUniformityMatrix:
     def test_needs_two_blocks(self):
         with pytest.raises(DomainError):
             uniformity_matrix(DetectionStream(np.zeros(5, dtype=np.uint8)), 4)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_subblock_max_z_matches_pairwise_oracle(self, n):
+        # random pattern counts, ties and empty classes included, laid out as
+        # a shuffled stream holding each pattern that many times
+        rng = np.random.default_rng(100 + n)
+        for high in (1, 2, 3, 8, 60, 200) * 4:
+            counts = rng.integers(0, high, size=1 << n)
+            counts[0] += 2  # two k = 0 blocks, so there is always a pair
+            patterns = rng.permutation(np.repeat(np.arange(1 << n), counts))
+            windows = (patterns[:, None] >> np.arange(n - 1, -1, -1)) & 1
+            rep = uniformity_matrix(DetectionStream(windows.ravel().astype(np.uint8)), n)
+            assert rep.pattern_counts.tolist() == counts.tolist()
+            assert rep.subblock_max_z == subblock_max_z_reference(counts, n)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_subblock_max_z_of_a_drifting_stream_matches_oracle(self, n):
+        (model,) = preset("a")
+        rep = uniformity_matrix(simulate(model, 1_000_000, seed=46), n)
+        assert rep.subblock_max_z > 0
+        assert rep.subblock_max_z == subblock_max_z_reference(rep.pattern_counts, n)
+
+    def test_passed_is_the_5_5_4_sigma_rule(self):
+        # pair-count matrices, each failing one bound alone, laid out as
+        # streams of disjoint consecutive 4-window block pairs
+        flat = np.full((16, 16), 100)
+        asymmetric = flat.copy()
+        asymmetric[0b0011, 0b1100] += 40  # block counts stay level
+        asymmetric[0b1100, 0b0011] -= 40
+        weight = np.ones(16)
+        weight[0b0001] = 1.5
+        skewed = np.rint(100 * np.outer(weight, weight)).astype(int)
+        dependent = flat + 60 * np.eye(16, dtype=int)
+        cases = {
+            "flat": (flat, (True, True, True)),
+            "asymmetric": (asymmetric, (False, True, True)),
+            "same-k imbalance": (skewed, (True, True, False)),
+            "dependent pairs": (dependent, (True, False, True)),
+        }
+        for name, (counts, expected) in cases.items():
+            patterns = np.divmod(np.repeat(np.arange(256), counts.ravel()), 16)
+            windows = (np.stack(patterns, axis=1).ravel()[:, None] >> np.arange(3, -1, -1)) & 1
+            rep = uniformity_matrix(DetectionStream(windows.ravel().astype(np.uint8)), 4)
+            assert (rep.counts == counts).all(), name
+            below = (rep.symmetry_deviation < 5, rep.independence_deviation < 5,
+                     rep.subblock_max_z < 4)
+            assert below == expected, name
+            assert rep.passed is all(below), name
 
 
 class TestAfterpulseEntropy:
@@ -205,6 +269,15 @@ class TestSanity:
     def test_needs_enough_bits(self):
         with pytest.raises(DomainError):
             sanity_tests(np.ones(100, dtype=np.uint8))
+
+    def test_passed_flips_on_a_constant_stream(self):
+        bits = (np.random.default_rng(203).random(50_000) < 0.5).astype(np.uint8)
+        assert sanity_tests(bits).passed
+        bits[20_000:40_000] = 0
+        rep = sanity_tests(bits)
+        assert not rep.passed
+        assert rep.passed is (max(abs(z) for z in rep.z_scores().values()) < 4)
+        assert not sanity_tests(np.zeros(20_000, dtype=np.uint8)).passed
 
 
 class TestExportNist:

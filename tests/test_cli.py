@@ -1,11 +1,21 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from timebinrng import DetectionStream, merge_channels, streamio
+from timebinrng import (
+    DetectionStream,
+    SourceModel,
+    merge_channels,
+    min_entropy,
+    sanity_tests,
+    simulate,
+    streamio,
+    uniformity_matrix,
+)
 from timebinrng.cli import main
 
 
@@ -308,6 +318,187 @@ class TestAnalyze:
         report = tmp_path / "report.txt"
         code, out_text, _ = run(capsys, "analyze", str(bits), "--sanity", "--out", str(report))
         assert report.read_text() == out_text
+
+
+# each check's report keys, in print order
+REPORT_KEYS = {
+    "min-entropy": ["word_bits", "word_count", "min_entropy", "deviation",
+                    "stat_error_scale", "bound_5x_scale", "pass"],
+    "uniformity": ["block_len", "pair_count", "symmetry_deviation",
+                   "independence_deviation", "subblock_max_z", "pass"],
+    "sanity": ["n_bits", "monobit_z", "runs_z", "lag1_z", "pass"],
+}
+INT_KEYS = {"word_bits", "word_count", "block_len", "pair_count", "n_bits"}
+
+
+def parse_report(text):
+    """An analyze report as a list of (check, {key: value}) sections, values
+    parsed as numbers (ints exactly) and ``pass`` as a bool; key order kept."""
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    sections = []
+    for block in text[:-1].split("\n\n"):  # one blank line between sections
+        header, *lines = block.split("\n")
+        assert header.startswith("[") and header.endswith("]"), header
+        values = {}
+        for line in lines:
+            key, sep, value = line.partition(" = ")
+            assert sep and key not in values, line
+            if key == "pass":
+                assert value in ("true", "false")
+                values[key] = value == "true"
+            elif key == "error":
+                values[key] = value
+            else:
+                values[key] = int(value) if key in INT_KEYS else float(value)
+        sections.append((header[1:-1], values))
+    return sections
+
+
+@pytest.fixture(scope="module")
+def analyze_inputs(tmp_path_factory):
+    """A drifting TIMEBIN1 stream, its packed extracted bits, and an ASCII
+    window file (no sidecar) of an IID stream."""
+    tmp = tmp_path_factory.mktemp("analyze")
+    paths = {"stream": tmp / "a.tbd1", "bits": tmp / "bits.bin", "ascii": tmp / "iid.txt"}
+    assert main(["simulate", "--scenario", "a", "--windows", "2000000", "--seed", "13",
+                 "--out", str(paths["stream"])]) == 0
+    assert main(["extract", str(paths["stream"]), "--out", str(paths["bits"])]) == 0
+    iid = simulate(SourceModel(mean_photons=math.log(2.0)), 400_000, seed=13)
+    streamio.write_ascii_bits(paths["ascii"], iid.windows)
+    return paths
+
+
+class TestAnalyzeReport:
+    """The report layout: one ``[check]`` section per check in a fixed order,
+    ``key = value`` lines, then ``pass`` or ``error``; sections apart by one
+    blank line."""
+
+    def test_bit_checks_keys_values_and_pass_rules(self, analyze_inputs, capsys):
+        bits = analyze_inputs["bits"]
+        code, out_text, _ = run(capsys, "analyze", str(bits), "--sanity", "--min-entropy",
+                                "-d", "4")
+        sections = parse_report(out_text)
+        assert [name for name, _ in sections] == ["min-entropy", "sanity"]
+        for name, values in sections:
+            assert list(values) == REPORT_KEYS[name]
+        ent, san = (values for _, values in sections)
+        lib = min_entropy(streamio.read_bits(bits), 4)
+        assert ent["word_bits"] == 4 and ent["word_count"] == lib.word_count
+        for key in ("min_entropy", "deviation", "stat_error_scale"):
+            assert ent[key] == pytest.approx(getattr(lib, key), rel=1e-5, abs=1e-6)
+        assert ent["bound_5x_scale"] == pytest.approx(5 * lib.stat_error_scale, rel=1e-5)
+        assert ent["pass"] is (lib.deviation < 5 * lib.stat_error_scale)
+        lib = sanity_tests(streamio.read_bits(bits))
+        assert san["n_bits"] == lib.n_bits
+        for key in ("monobit_z", "runs_z", "lag1_z"):
+            assert san[key] == pytest.approx(getattr(lib, key), rel=1e-5, abs=5e-5)
+        assert san["pass"] is lib.passed
+        assert code == (0 if ent["pass"] and san["pass"] else 1)
+
+    def test_uniformity_keys_values_and_pass_rule(self, analyze_inputs, capsys):
+        stream = analyze_inputs["stream"]
+        code, out_text, _ = run(capsys, "analyze", str(stream), "--uniformity", "-N", "3")
+        ((name, values),) = parse_report(out_text)
+        assert name == "uniformity" and list(values) == REPORT_KEYS[name]
+        lib = uniformity_matrix(streamio.read_stream(stream), 3)
+        assert values["block_len"] == 3 and values["pair_count"] == lib.pair_count
+        for key in ("symmetry_deviation", "independence_deviation", "subblock_max_z"):
+            assert values[key] == pytest.approx(getattr(lib, key), rel=1e-5, abs=5e-5)
+        rule = (lib.symmetry_deviation < 5 and lib.independence_deviation < 5
+                and lib.subblock_max_z < 4)
+        assert values["pass"] is rule
+        assert code == (0 if rule else 1)
+
+    def test_ascii_windows_serve_every_check(self, analyze_inputs, capsys):
+        code, out_text, _ = run(capsys, "analyze", str(analyze_inputs["ascii"]),
+                                "--uniformity", "--sanity", "--min-entropy")
+        sections = parse_report(out_text)
+        assert [name for name, _ in sections] == ["min-entropy", "uniformity", "sanity"]
+        for name, values in sections:
+            assert list(values) == REPORT_KEYS[name]
+        assert code == (0 if all(values["pass"] for _, values in sections) else 1)
+
+    def test_wrong_kind_checks_error_and_the_rest_run(self, analyze_inputs, capsys):
+        code, out_text, _ = run(capsys, "analyze", str(analyze_inputs["stream"]),
+                                "--sanity", "--uniformity", "--min-entropy")
+        assert code == 1
+        sections = parse_report(out_text)
+        assert [name for name, _ in sections] == ["min-entropy", "uniformity", "sanity"]
+        for name in ("min-entropy", "sanity"):
+            assert dict(sections)[name] == {
+                "error": "bit-level checks need a bit file (ascii or packed); "
+                         "got a TIMEBIN1 window stream"
+            }
+        assert list(dict(sections)["uniformity"]) == REPORT_KEYS["uniformity"]
+
+        code, out_text, _ = run(capsys, "analyze", str(analyze_inputs["bits"]), "--uniformity")
+        assert code == 1
+        assert parse_report(out_text) == [("uniformity", {
+            "error": "uniformity needs a window stream (TIMEBIN1 or ascii windows); "
+                     "got a packed bit file"
+        })]
+
+    def test_report_file_equals_stdout(self, analyze_inputs, capsys, tmp_path):
+        report = tmp_path / "report.txt"
+        code, out_text, _ = run(capsys, "analyze", str(analyze_inputs["stream"]),
+                                "--uniformity", "--sanity", "--out", str(report))
+        assert code == 1
+        assert report.read_text() == out_text
+        manifest = json.loads((tmp_path / "report.txt.manifest.json").read_text())
+        assert manifest["command"] == "analyze" and manifest["outputs"] == [str(report)]
+
+    @pytest.mark.parametrize(
+        "name, kind, checks",
+        [
+            ("read_bits", "bits", ["--min-entropy", "--sanity"]),
+            ("read_ascii_bits", "ascii", ["--min-entropy", "--uniformity", "--sanity"]),
+        ],
+    )
+    def test_reads_the_input_once(self, analyze_inputs, capsys, monkeypatch, name, kind, checks):
+        reader = getattr(streamio, name)
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return reader(path)
+
+        monkeypatch.setattr(streamio, name, counted)
+        code, out_text, _ = run(capsys, "analyze", str(analyze_inputs[kind]), *checks)
+        assert len(parse_report(out_text)) == len(checks)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--min-entropy", "-d", "0"], "--word-bits"),
+            (["--min-entropy", "-d", "17"], "--word-bits"),
+            (["--sanity", "--min-entropy", "-d", "-3"], "--word-bits"),
+            (["--uniformity", "-N", "13"], "--block-len"),
+            (["--uniformity", "-N", "1"], "--block-len"),
+        ],
+    )
+    def test_option_out_of_range_is_usage_error(
+        self, analyze_inputs, capsys, monkeypatch, tmp_path, argv, message
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        for reader in ("is_tbd1", "read_bits", "read_ascii_bits", "read_stream",
+                       "read_stream_header"):
+            monkeypatch.setattr(streamio, reader, unread)
+        report = tmp_path / "report.txt"
+        code, out_text, err = run(capsys, "analyze", str(analyze_inputs["stream"]), *argv,
+                                  "--out", str(report))
+        assert code == 2
+        assert out_text == ""
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_options_of_unrequested_checks_are_not_checked(self, analyze_inputs, capsys):
+        code, out_text, _ = run(capsys, "analyze", str(analyze_inputs["bits"]), "--sanity",
+                                "-d", "0", "-N", "13")
+        assert [name for name, _ in parse_report(out_text)] == ["sanity"]
+        assert code == (0 if "pass = true" in out_text else 1)
 
 
 class TestEfficiency:
