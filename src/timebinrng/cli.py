@@ -50,7 +50,7 @@ from .extractor import (
 from .source_sim import GENERATOR_TAG, SCENARIOS, SourceModel, iter_simulate, preset
 from . import streamio
 
-_DEFAULT_CHUNK = 1 << 20  # windows per chunk: 8 MiB of draws while simulating
+_DEFAULT_CHUNK = 1 << 20  # windows per chunk: 1 MiB of clicks while simulating
 _MAX_RANGE = 10**6  # values an efficiency range may select, far more than any table needs
 
 
@@ -320,11 +320,12 @@ def _cmd_analyze(args, argv: list[str]) -> int:
         raise DomainError(f"--word-bits must be in 1..{MAX_WORD_BITS}, got {args.word_bits}")
     if args.uniformity and not 2 <= args.block_len <= UNIFORMITY_MAX_BLOCK:
         raise DomainError(f"--block-len must be in 2..{UNIFORMITY_MAX_BLOCK}, got {args.block_len}")
-    # a TIMEBIN1 stream holds windows, a file with a sidecar holds packed
-    # bits and an ASCII file serves as either; it is read once, if at all
+    # a TIMEBIN1 stream holds windows, a file whose sidecar says so holds
+    # packed bits and an ASCII file serves as either; it is read once, if at all
     path = args.input
     tbd1 = streamio.is_tbd1(path)
-    kind = "windows" if tbd1 else "bits" if streamio.meta_path(path).exists() else None
+    packed = not tbd1 and streamio.packed_bits_meta(path) is not None
+    kind = "windows" if tbd1 else "bits" if packed else None
     data = None
     sections, all_pass = [], True
     for name, view, call in checks:

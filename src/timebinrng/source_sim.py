@@ -19,8 +19,10 @@ values settle the undecided draws' own clicks, then the afterpulse
 resolve: exact and mostly vectorised, it settles most candidates by
 the latest unconditional click alone and the rest, which wait on an
 earlier tap-induced click, in one pass over just those windows.
-Without taps, a chunk needs about 2 bytes per window beside its 8-byte
-draws.
+A chunk holds one byte per window, its clicks; the draws are made and
+thresholded in 2^16-window blocks, into buffers each slice keeps from
+chunk to chunk, and only the undecided draws are kept, with their
+positions.
 
 Streams are reproducible: window i consumes exactly the i-th uniform
 draw of a PCG64 generator seeded with SeedSequence([seed, channel_id]),
@@ -34,8 +36,8 @@ to chunk; ``PCG64.advance`` (about a microsecond) moves it on to the
 slice's first window, so window i still takes the i-th draw and the
 stream is the same on any number of cores.  The calling thread draws
 slice 0 and a pool of threads, built on first use, the others.  A slice
-only draws, thresholds against bounds computed beforehand and finds the
-positions of its undecided draws.  Everything that evaluates p,
+only draws, thresholds against bounds computed beforehand and keeps its
+undecided draws and their positions.  Everything that evaluates p,
 resolves afterpulses or carries state from chunk to chunk runs on the
 calling thread, so a wrapper around those functions, such as a span
 tracer, sees one thread; every slice has ended before the chunk is
@@ -66,6 +68,7 @@ _FAR_PAST = -(1 << 62)
 _SPAN = 4096  # windows per sub-interval over which a modulated p is bounded
 _SLACK = 1e-9  # absolute margin of that bound, far above the rounding in t, w*t and sin
 _MIN_SLICE = 1 << 18  # fewest windows a chunk is sliced into for another thread
+_BLOCK = 1 << 16  # windows a slice draws and thresholds at a time, a multiple of _SPAN
 
 _pool = None  # threads for slices 1 and up, shared by all streams as the cores are
 
@@ -163,7 +166,7 @@ def _bound_modulated(model: SourceModel, times, count: int):
 
 def _resolve_afterpulses(
     clicks: np.ndarray,
-    u: np.ndarray,
+    uc: np.ndarray,
     cand: np.ndarray,
     pc,
     taps: tuple[float, ...],
@@ -178,8 +181,9 @@ def _resolve_afterpulses(
     that change nothing: those at or above p + max(taps), and undecided
     draws of a modulated p that clicked on their own.  Such a click is
     the nearest avalanche of every later candidate within reach, so none
-    of them depends on it.  ``pc`` is p at those positions, one value per
-    position or a float under constant p.  A candidate clicks when its
+    of them depends on it.  ``uc`` holds the draws u at those positions
+    and ``pc`` p there, one value per position or a float under
+    constant p.  A candidate clicks when its
     distance d to the latest avalanche before it is at most len(taps)
     and u < p + taps[d - 1].  That avalanche is the latest
     unconditional click, or the one carried in from earlier chunks,
@@ -201,11 +205,9 @@ def _resolve_afterpulses(
         before = np.searchsorted(cand, d)  # these look back past the chunk's start
         hit[:before] = cand[:before] - d == carried
         dist[hit] = d
-    uc = u[cand]
     fired = np.zeros(cand.size, dtype=bool)
     for d, tap in enumerate(taps, 1):
         fired |= (dist == d) & (uc < pc + tap)
-    del uc
     # dependent: the previous candidate lies after the reference, within reach
     dep = np.flatnonzero(np.diff(cand) < dist[1:]) + 1
     if dep.size:
@@ -220,7 +222,7 @@ def _resolve_afterpulses(
         out = []
         s = 0
         for x, q, r, g, s_prev in zip(
-            u[cand[dep]].tolist(), p_dep, dist[dep].tolist(), gap.tolist(), state.tolist()
+            uc[dep].tolist(), p_dep, dist[dep].tolist(), gap.tolist(), state.tolist()
         ):
             if s_prev >= 0:
                 s = s_prev
@@ -271,29 +273,35 @@ def _part(bound, a: int, b: int):
     return bound[a // _SPAN : -(-b // _SPAN)] if isinstance(bound, np.ndarray) else bound
 
 
-def _draw_slice(rng, u, below, lo, top, first, dtype):
-    """Draw and threshold windows ``first``.. of a chunk, whose draws are ``u``.
+def _draw_slice(rng, u, mask, below, lo, top, first):
+    """Draw and threshold windows ``first``.. of a chunk, _BLOCK at a time.
 
-    Writes u < lo into ``below``.  Returns the chunk positions of the
-    undecided draws, lo <= u < top, or None without ``top``.  Evaluates
-    no p.
+    ``u`` and ``mask`` are the slice's block buffers.  Writes u < lo
+    into ``below``.  Returns, for each block, the chunk positions of its
+    undecided draws, lo <= u < top, and those draws; nothing without
+    ``top``.  Evaluates no p.
     """
-    rng.random(out=u)
-    _below(u, lo, out=below)
-    if top is None:
-        return None
-    mask = _below(u, top)
-    mask ^= below  # lo <= top, so every draw below lo is below top too
-    idx = np.flatnonzero(mask)
-    if first:
-        idx += first
-    return idx if dtype is np.intp else idx.astype(dtype)
+    found = []
+    for a in range(0, below.size, _BLOCK):
+        b = min(a + _BLOCK, below.size)
+        ub = u[: b - a]
+        rng.random(out=ub)
+        _below(ub, _part(lo, a, b), out=below[a:b])
+        if top is not None:
+            m = _below(ub, _part(top, a, b), out=mask[: b - a])
+            m ^= below[a:b]  # lo <= top, so every draw below lo is below top too
+            idx = np.flatnonzero(m)
+            found.append((idx + (first + a), ub[idx]))
+    return found
 
 
 def _run_slices(jobs: list[tuple], threads: int) -> list:
-    """_draw_slice for every job, the first on this thread; all have ended on return."""
+    """_draw_slice for every job, the first on this thread; all have ended on return.
+
+    The pool for the others is built when a chunk first has more than one slice.
+    """
     global _pool
-    if _pool is None:  # built on first use: concurrent.futures takes 7-11 ms to import
+    if _pool is None and len(jobs) > 1:  # concurrent.futures takes 7-11 ms to import
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="timebinrng-slice")
@@ -317,8 +325,9 @@ def iter_simulate(
     """Yield the simulated stream in chunks of at most ``chunk_windows``.
 
     Chunk boundaries do not affect the generated windows; afterpulse
-    state carries across both chunk and block boundaries.  The draws
-    fill one buffer, reused for every chunk; no yielded chunk shares it.
+    state carries across both chunk and block boundaries.  Each slice
+    draws into one _BLOCK-window buffer of its own, reused for every
+    block of every chunk; no yielded chunk shares it.
     A chunk of at least twice _MIN_SLICE windows is drawn and
     thresholded in slices on several threads; every slice has ended
     before the chunk is yielded, and p is only evaluated on the calling
@@ -330,7 +339,7 @@ def iter_simulate(
         raise DomainError(f"chunk_windows must be >= 1, got {chunk_windows}")
     check_finite("t0", t0)
     seeds = np.random.SeedSequence([seed, channel_id])
-    rngs = []  # one generator per slice, reused by the same slice of every chunk
+    slots = []  # per slice: generator and block buffers, reused by the same slice of every chunk
     drawn = []  # the window each generator draws next
     threads = _slice_threads()
     taps = model.afterpulse_taps
@@ -338,48 +347,44 @@ def iter_simulate(
     constant_p = None if model.modulation is not None else model.base_probability()
     start = 0
     last_avalanche = _FAR_PAST
-    buf = np.empty(min(chunk_windows, n_windows))  # the draws, refilled for every chunk
-    # positions of several slices are joined, int32 in half the memory
-    dtype = np.int32 if buf.size <= np.iinfo(np.int32).max else np.intp
+    block = min(_BLOCK, chunk_windows, n_windows)
 
     def times(idx):  # the times of local windows idx of the chunk at ``start``
         return t0 + np.add(idx, start, dtype=np.int64).astype(np.float64) * period
 
-    def moved(k, a, b):  # slice k's generator, at window a of the chunk, to draw up to b
-        if k == len(rngs):
-            rngs.append(np.random.Generator(np.random.PCG64(seeds)))
+    def moved(k, a, b):  # slice k's slot, its generator at window a of the chunk, to draw up to b
+        if k == len(slots):
+            rng = np.random.Generator(np.random.PCG64(seeds))
+            slots.append((rng, np.empty(block), np.empty(block, dtype=bool)))
             drawn.append(0)
         if start + a > drawn[k]:  # window i takes the generator's i-th draw
-            rngs[k].bit_generator.advance(start + a - drawn[k])
+            slots[k][0].bit_generator.advance(start + a - drawn[k])
         drawn[k] = start + b
-        return rngs[k]
+        return slots[k]
 
     while start < n_windows:
         count = min(chunk_windows, n_windows - start)
-        u = buf[:count]
         if constant_p is None:
             lo, top = _bound_modulated(model, times, count)
         else:  # u < p settles every click but those a tap adds to draws in p..top
             lo, top = constant_p, constant_p + max(taps) if taps else None
         below = np.empty(count, dtype=bool)
         cuts = _cuts(count, threads)
-        if len(cuts) == 2:  # one slice: no views, no jobs, positions not joined
-            idx = _draw_slice(moved(0, 0, count), u, below, lo, top, 0, np.intp)
-        else:
-            parts = _run_slices([
-                (moved(k, a, b), u[a:b], below[a:b], _part(lo, a, b), _part(top, a, b), a, dtype)
-                for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
-            ], threads)
-            idx = None if top is None else np.concatenate(parts)
+        jobs = [
+            (*moved(k, a, b), below[a:b], _part(lo, a, b), _part(top, a, b), a)
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+        ]
+        found = [pair for part in _run_slices(jobs, threads) for pair in part]
         clicks = below.view(np.uint8)
-        if idx is not None:
+        if top is not None:  # the blocks' undecided positions and draws, joined
+            idx, uc = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
             p = constant_p
             if p is None:  # p at the undecided windows, bit for bit as over the whole chunk
                 p = click_probability(model, times(idx))
-                below[idx] = u[idx] < p
+                below[idx] = uc < p
             if taps:
                 last_avalanche = _resolve_afterpulses(
-                    clicks, u, idx, p, taps, start, last_avalanche
+                    clicks, uc, idx, p, taps, start, last_avalanche
                 )
         yield clicks
         start += count

@@ -12,7 +12,8 @@ The extractor takes payloads packed, as :func:`iter_stream_payload` reads them.
 
 ASCII streams and bit files use one '0'/'1' character per window/bit;
 whitespace is ignored on input.  Packed bit files carry their exact bit
-count in an adjacent ``<name>.meta.json`` sidecar.
+count in an adjacent ``<name>.meta.json`` sidecar of ``format``
+``packed-bits-msb-first``.
 
 Every writer goes through a temp file beside its target and renames it
 into place, so an output appears whole or not at all.
@@ -35,6 +36,7 @@ from .errors import DomainError, StreamFormatError
 from .extractor import BitOutput, DetectionStream, as_bit_array, join_packed
 
 MAGIC = b"TIMEBIN1"
+PACKED_BITS = "packed-bits-msb-first"  # the sidecar ``format`` of a packed bit file
 _HEADER = struct.Struct("<8sQQQ")
 HEADER_SIZE = _HEADER.size
 
@@ -111,7 +113,7 @@ class StreamWriter:
         arr = as_bit_array(windows)
         total = self._tail[1] + arr.size
         row, self._tail = join_packed(self._tail, np.packbits(arr), total - total % 8, total)
-        self._fh.write(row.tobytes())
+        self._fh.write(row)
         self._count += int(arr.size)
 
     def close(self) -> None:
@@ -253,7 +255,7 @@ def write_packed_bits(path, data: bytes, total_bits: int, extra: dict | None = N
     count and the ``extra`` keys."""
     with atomic_open(path) as fh:
         fh.write(data)
-    meta = {"format": "packed-bits-msb-first", "total_bits": total_bits}
+    meta = {"format": PACKED_BITS, "total_bits": total_bits}
     write_meta(path, {**meta, **(extra or {})})
 
 
@@ -268,12 +270,27 @@ def write_bit_output(path, out: BitOutput, fmt: str = "packed", extra: dict | No
         raise StreamFormatError(f"unknown bit output format {fmt!r}")
 
 
-def read_bits(path) -> np.ndarray:
-    """Read a bit file: packed bytes with a sidecar, else ASCII '0'/'1'."""
-    path = Path(path)
+def packed_bits_meta(path):
+    """The sidecar of ``path`` if it is a packed bit file, else None.
+
+    The sidecar's ``format`` key decides: a file with no sidecar, or with
+    one of another format, such as the ``ascii`` that ``simulate
+    --format ascii`` writes, holds ASCII '0'/'1'.  A sidecar without the
+    key is taken for a packed bit file's, whose bit count it must hold.
+    """
     if not meta_path(path).exists():
-        return read_ascii_bits(path)
+        return None
     meta = read_meta(path)
+    packed = not isinstance(meta, dict) or meta.get("format", PACKED_BITS) == PACKED_BITS
+    return meta if packed else None
+
+
+def read_bits(path) -> np.ndarray:
+    """Read a bit file: packed bytes if its sidecar says so, else ASCII '0'/'1'."""
+    path = Path(path)
+    meta = packed_bits_meta(path)
+    if meta is None:
+        return read_ascii_bits(path)
     total_bits = meta.get("total_bits") if isinstance(meta, dict) else None
     if type(total_bits) is not int or total_bits < 0:
         raise StreamFormatError(

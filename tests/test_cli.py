@@ -500,6 +500,31 @@ class TestAnalyzeReport:
         assert [name for name, _ in parse_report(out_text)] == ["sanity"]
         assert code == (0 if "pass = true" in out_text else 1)
 
+    def test_simulated_ascii_windows_serve_every_check(self, tmp_path, capsys):
+        # simulate --format ascii writes a sidecar too: its format, not its
+        # presence, tells ASCII windows from packed bits
+        assert run(capsys, "simulate", "--scenario", "b", "--windows", "100000", "--seed", "3",
+                   "--format", "ascii", "--out", str(tmp_path / "b.txt"))[0] == 0
+        windows = tmp_path / "b.ch0.txt"
+        assert streamio.read_meta(windows)["format"] == "ascii"
+        code, out_text, err = run(capsys, "analyze", str(windows),
+                                  "--uniformity", "-N", "2", "--sanity")
+        assert code in (0, 1) and err == ""
+        sections = parse_report(out_text)
+        assert [(name, list(values)) for name, values in sections] == [
+            ("uniformity", REPORT_KEYS["uniformity"]), ("sanity", REPORT_KEYS["sanity"])
+        ]
+        # its packed extract output still goes to the bit checks only
+        bits = tmp_path / "bits.bin"
+        assert run(capsys, "extract", str(windows), "-N", "4", "--out", str(bits))[0] == 0
+        code, out_text, _ = run(capsys, "analyze", str(bits), "--uniformity", "--sanity")
+        sections = dict(parse_report(out_text))
+        assert sections["uniformity"] == {
+            "error": "uniformity needs a window stream (TIMEBIN1 or ascii windows); "
+                     "got a packed bit file"
+        }
+        assert list(sections["sanity"]) == REPORT_KEYS["sanity"]
+
 
 class TestEfficiency:
     def test_single_point(self, capsys):

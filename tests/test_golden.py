@@ -149,9 +149,11 @@ def test_simulate(source, channel, chunk):
 @pytest.mark.parametrize("source, channel", sorted(SIMULATE))
 def test_simulate_in_slices(source, channel, threads):
     # the chunk cut into slices of at least 4,096 windows, drawn on other threads
+    # 4,096 windows at a time
     model = _models(source)[channel]
     with mock.patch.object(source_sim, "_slice_threads", lambda: threads), \
-            mock.patch.object(source_sim, "_MIN_SLICE", 4096):
+            mock.patch.object(source_sim, "_MIN_SLICE", 4096), \
+            mock.patch.object(source_sim, "_BLOCK", 4096):
         parts = iter_simulate(model, WINDOWS, SEED, channel_id=channel)
         assert _sha(np.concatenate(list(parts)).tobytes()) == SIMULATE[source, channel]
 

@@ -139,7 +139,8 @@ class TestAfterpulsing:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / n <= 12.0  # u (8 B), clicks, one mask, O(candidates); 18 B with positions
+        # clicks, the slices' blocks, O(candidates) held twice while joined; 18 B with positions
+        assert peak / n <= 12.0
 
     def test_p_is_evaluated_once_per_window(self):
         # one call bounds the chunk, one evaluates p at its undecided draws,
@@ -272,15 +273,28 @@ class TestModulationBound:
         assert 0 < sum(t.size for t in seen) < 0.005 * n
 
     def test_memory_per_window(self):
+        self.check_memory(source_sim._slice_threads())
+
+    def test_memory_per_window_in_two_slices(self):
+        with mock.patch.object(source_sim, "_slice_threads", lambda: 2):
+            self.check_memory(2)
+
+    @staticmethod
+    def check_memory(threads):
+        # the clicks (1 B a window), then per slice a draw buffer and a mask of one
+        # block (9 B a window of it) and the undecided draws, 0.1% of the windows;
+        # 10 B a window with a draw and a mask per window, 32 B with p at every one
         (model,) = preset("a")
         n = 1 << 22
+        next(iter_simulate(model, n, seed=1, chunk_windows=n))  # the pool and its imports
         tracemalloc.start()
         try:
             next(iter_simulate(model, n, seed=1, chunk_windows=n))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / n <= 12.0  # u (8 B) + clicks + one mask; 32 B with p at every window
+        slices = len(source_sim._cuts(n, threads)) - 1
+        assert peak <= n + slices * 9 * source_sim._BLOCK + n // 8
 
     @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
     def test_non_finite_t0_rejected(self, t0):
@@ -290,10 +304,12 @@ class TestModulationBound:
 
 
 @contextmanager
-def sliced(threads):
-    """Cut every chunk into up to ``threads`` slices of at least 4,096 windows."""
+def sliced(threads, block=source_sim._SPAN):
+    """Cut every chunk into up to ``threads`` slices of at least 4,096 windows,
+    each drawn ``block`` windows at a time."""
     with mock.patch.object(source_sim, "_slice_threads", lambda: threads), \
-            mock.patch.object(source_sim, "_MIN_SLICE", source_sim._SPAN):
+            mock.patch.object(source_sim, "_MIN_SLICE", source_sim._SPAN), \
+            mock.patch.object(source_sim, "_BLOCK", block):
         yield
 
 
@@ -337,6 +353,19 @@ class TestSlices:
         with sliced(threads):
             got = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=chunk)))
         assert np.array_equal(got, simulate_reference(model, n, seed))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("chunk", [None, 100_003])
+    def test_full_size_blocks_match_whole_array_reference(self, threads, chunk):
+        # about 3.5 blocks of 2^16 windows, with taps and a drift whose bound moves
+        # from one sub-interval to the next: ragged last blocks in every slice
+        model = SourceModel(
+            modulation=ModulationProfile(0.4, 0.3, 30.0, 1.0), afterpulse_taps=(0.1, 0.05)
+        )
+        n = 7 * source_sim._BLOCK // 2 + 1_234
+        with sliced(threads, block=source_sim._BLOCK):
+            got = np.concatenate(list(iter_simulate(model, n, seed=11, chunk_windows=chunk or n)))
+        assert np.array_equal(got, simulate_reference(model, n, seed=11))
 
     def test_cuts(self):
         with sliced(3):

@@ -48,6 +48,18 @@ class TestTbd1:
                 w.write(s.windows[lo : lo + 61])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_writer_bytes_are_header_and_packed_windows(self, tmp_path):
+        # chunks that end on and off byte edges, each written from its packed row
+        s = random_stream(1003)
+        path = tmp_path / "s.tbd1"
+        with streamio.StreamWriter(path, 1000, channel_id=2) as w:
+            lo = 0
+            for size in (8, 1, 7, 61, 16, 0, 910):
+                w.write(s.windows[lo : lo + size])
+                lo += size
+        head = struct.pack("<8sQQQ", b"TIMEBIN1", 1003, 1000, 2)
+        assert path.read_bytes() == head + np.packbits(s.windows).tobytes()
+
     def test_chunked_reader(self, tmp_path):
         s = random_stream(5000)
         path = tmp_path / "s.tbd1"
@@ -191,6 +203,18 @@ class TestBitFiles:
         path = tmp_path / "bits.txt"
         streamio.write_bit_output(path, out, fmt="ascii")
         assert np.array_equal(streamio.read_bits(path), out.bit_array())
+
+    def test_sidecar_format_decides_the_kind(self, tmp_path):
+        # simulate --format ascii leaves a sidecar beside its ASCII windows
+        path = tmp_path / "windows.txt"
+        streamio.write_ascii_bits(path, [1, 0, 0, 1, 1])
+        streamio.write_meta(path, {"command": "simulate", "format": "ascii"})
+        assert streamio.packed_bits_meta(path) is None
+        assert streamio.read_bits(path).tolist() == [1, 0, 0, 1, 1]
+        packed = tmp_path / "bits.bin"
+        streamio.write_packed_bits(packed, b"\x98", 5)
+        assert streamio.packed_bits_meta(packed)["format"] == streamio.PACKED_BITS
+        assert streamio.read_bits(packed).tolist() == [1, 0, 0, 1, 1]
 
     def test_sidecar_bit_count_validated(self, tmp_path):
         path = tmp_path / "bits.bin"
