@@ -378,6 +378,7 @@ def iter_simulate(
         clicks = below.view(np.uint8)
         if top is not None:  # the blocks' undecided positions and draws, joined
             idx, uc = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+            del found  # the blocks' arrays, before the resolve's temporaries
             p = constant_p
             if p is None:  # p at the undecided windows, bit for bit as over the whole chunk
                 p = click_probability(model, times(idx))
