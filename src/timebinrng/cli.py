@@ -324,8 +324,7 @@ def _cmd_analyze(args, argv: list[str]) -> int:
     # packed bits and an ASCII file serves as either; it is read once, if at all
     path = args.input
     tbd1 = streamio.is_tbd1(path)
-    packed = not tbd1 and streamio.packed_bits_meta(path) is not None
-    kind = "windows" if tbd1 else "bits" if packed else None
+    kind = "windows" if tbd1 else "bits" if streamio.packed_bits_meta(path) is not None else None
     data = None
     sections, all_pass = [], True
     for name, view, call in checks:

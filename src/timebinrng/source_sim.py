@@ -278,7 +278,7 @@ def _draw_slice(rng, u, mask, below, lo, top, first):
 
     ``u`` and ``mask`` are the slice's block buffers.  Writes u < lo
     into ``below``.  Returns, for each block, the chunk positions of its
-    undecided draws, lo <= u < top, and those draws; nothing without
+    undecided draws, lo <= u < top, and those draws; no block without
     ``top``.  Evaluates no p.
     """
     found = []
