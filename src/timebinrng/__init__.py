@@ -36,12 +36,10 @@ from .combinatorics import (
     unrank_combination,
 )
 from .efficiency import (
-    EfficiencyReport,
     ModulationProfile,
     binary_rate,
     block_entropy_rate,
     crossing_points,
-    efficiency_report,
     shannon_binary,
     time_average_binary_rate,
     verify_monotone_convergence,

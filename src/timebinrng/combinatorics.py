@@ -68,10 +68,6 @@ class BinomialExpansion:
     k: int
     exponents: tuple[int, ...]
 
-    @property
-    def leading(self) -> int:
-        return self.exponents[0]
-
 
 def rank_combination(c: Combination) -> int:
     """Map a position pattern to its integer rank in [0, C(n,k)).

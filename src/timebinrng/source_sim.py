@@ -129,10 +129,8 @@ def click_probability(model: SourceModel, t: float = 0.0):
     return model.base_probability()
 
 
-def _below(u: np.ndarray, bound, out: np.ndarray | None = None) -> np.ndarray:
-    """u < bound as a bool array: ``bound`` is a float, or one value per sub-interval of u."""
-    if out is None:
-        out = np.empty(u.size, dtype=bool)
+def _below(u: np.ndarray, bound, out: np.ndarray) -> np.ndarray:
+    """u < bound into ``out``: ``bound`` is a float, or one value per sub-interval of u."""
     if not isinstance(bound, np.ndarray):
         return np.less(u, bound, out=out)
     full = u.size - u.size % _SPAN

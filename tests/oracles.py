@@ -97,6 +97,54 @@ def subblock_max_z_reference(pattern_counts, n):
     return best
 
 
+def rate_weights(n, expanded=True):
+    """w_k for k = 1..n-1: the sum of width * 2^width over the set bits of
+    C(n, k), the bits its binary expansion emits, else C(n, k) log2 C(n, k)."""
+    weights = []
+    for k in range(1, n):
+        c = math.comb(n, k)
+        if expanded:
+            weights.append(sum(e * (1 << e) for e in range(c.bit_length()) if (c >> e) & 1))
+        else:
+            weights.append(c * math.log2(c))
+    return weights
+
+
+def rate_reference(n, p, expanded=True, weights=None):
+    """Bits per window, one ``math.fsum`` over k = 1..n-1 of p^k q^(n-k) w_k."""
+    weights = weights or rate_weights(n, expanded)
+    q = 1.0 - p
+    return math.fsum(p**k * q ** (n - k) * w for k, w in enumerate(weights, start=1)) / n
+
+
+def time_average_reference(n, base, amplitude, omega, duration, phases=1024, steps=4096):
+    """Mean of ``rate_reference(n, base + amplitude sin(omega t))`` over
+    t in [0, duration], by brute quadrature in the phase theta = omega t:
+    the whole drift periods by the trapezoid rule on ``phases`` points
+    (exact for a periodic integrand of degree below ``phases``), the
+    remainder by Simpson's rule on ``steps`` intervals."""
+    span = omega * duration
+    if span == 0.0:
+        return rate_reference(n, base)
+    sign = 1.0 if span > 0 else -1.0
+    span = abs(span)
+
+    weights = rate_weights(n)
+
+    def f(phi):
+        return rate_reference(n, base + amplitude * math.sin(sign * phi), weights=weights)
+
+    periods = math.floor(span / (2.0 * math.pi))
+    rest = span - periods * 2.0 * math.pi
+    h = 2.0 * math.pi / phases
+    whole = h * math.fsum(f(i * h) for i in range(phases)) if periods else 0.0
+    h = rest / steps
+    simpson = h / 3.0 * math.fsum(
+        (1 if i in (0, steps) else 4 if i % 2 else 2) * f(i * h) for i in range(steps + 1)
+    )
+    return (periods * whole + simpson) / span
+
+
 def afterpulse_reference(
     clicks: np.ndarray,
     u: np.ndarray,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,33 @@ class TestSanity:
         assert not rep.passed
         assert rep.passed is (max(abs(z) for z in rep.z_scores().values()) < 4)
         assert not sanity_tests(np.zeros(20_000, dtype=np.uint8)).passed
+
+    @pytest.mark.parametrize("value", [0, 1])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_one_odd_bit_at_an_end(self, value, where):
+        # one side of the lag-1 pair is constant: no correlation to divide by
+        bits = np.full(20_000, 1 - value, dtype=np.uint8)
+        bits[where] = value
+        rep = sanity_tests(bits)
+        assert rep.lag1_z == math.inf
+        assert not rep.passed
+
+    def test_lag1_matches_pearson(self):
+        rng = np.random.default_rng(204)
+        bits = (np.cumsum(rng.random(30_001) < 0.4) % 2).astype(np.uint8)
+        corr = np.corrcoef(bits[:-1].astype(float), bits[1:].astype(float))[0, 1]
+        assert sanity_tests(bits).lag1_z == pytest.approx(corr * math.sqrt(30_000), rel=1e-9)
+
+    def test_memory_is_bounded_per_bit(self):
+        # the screen once held three float64 copies of the input, 16 B/bit
+        bits = (np.random.default_rng(205).random(1 << 20) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            sanity_tests(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * bits.size
 
 
 class TestExportNist:

@@ -286,6 +286,15 @@ class TestAnalyze:
         assert code == 1
         assert "pass = false" in out_text
 
+    @pytest.mark.parametrize("text", [b"1" + b"0" * 19_999, b"1" * 19_999 + b"0"])
+    def test_sanity_on_one_odd_bit_fails(self, tmp_path, capsys, text):
+        path = tmp_path / "odd.txt"
+        path.write_bytes(text)
+        code, out_text, err = run(capsys, "analyze", str(path), "--sanity")
+        assert code == 1
+        assert "pass = false" in out_text and "lag1_z = inf" in out_text
+        assert "Traceback" not in err
+
     def test_wrong_input_kind_is_per_check_error(self, tmp_path, capsys):
         stream, bits = self._bits_file(tmp_path, capsys, windows=200_000)
         # bit-level check on a window stream: that check errors, the rest run

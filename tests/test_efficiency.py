@@ -11,7 +11,6 @@ from timebinrng import (
     binary_rate,
     block_entropy_rate,
     crossing_points,
-    efficiency_report,
     extract,
     shannon_binary,
     simulate,
@@ -19,6 +18,8 @@ from timebinrng import (
     verify_monotone_convergence,
     verify_optimal_p,
 )
+
+from oracles import rate_reference, time_average_reference
 
 
 class TestShannon:
@@ -62,6 +63,15 @@ class TestBlockEntropyRate:
             err_small = abs(block_entropy_rate(12, p) - shannon_binary(p))
             err_large = abs(block_entropy_rate(48, p) - shannon_binary(p))
             assert err_large < err_small
+
+
+class TestPerKReference:
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_rates_match_fsum(self, n):
+        for p in np.arange(0.01, 1.0, 0.02):
+            p = float(p)
+            assert abs(binary_rate(n, p) - rate_reference(n, p)) <= 1e-14
+            assert abs(block_entropy_rate(n, p) - rate_reference(n, p, expanded=False)) <= 1e-14
 
 
 class TestBinaryRate:
@@ -129,6 +139,32 @@ class TestTimeAverage:
         assert time_average_binary_rate(4, moving) < binary_rate(4, 0.5)
         # quadrature cross-check of the same closed form as above
         assert time_average_binary_rate(4, moving) == pytest.approx(0.38035, abs=1e-6)
+
+    @pytest.mark.parametrize("duration", [40.0, 80.0, 2000.0, 40.01, 119.9])
+    def test_against_quadrature_reference(self, duration):
+        # omega*T at or near a multiple of 4 pi puts every first sample of a
+        # bisecting quadrature on a zero of sin(omega t)
+        omega = 0.1 * math.pi
+        avg = time_average_binary_rate(4, ModulationProfile(0.5, 0.3, omega, duration))
+        assert abs(avg - time_average_reference(4, 0.5, 0.3, omega, duration)) <= 1e-12
+        assert abs(avg - 0.34544375) < 2e-4
+
+    def test_random_profiles_against_quadrature_reference(self):
+        rng = np.random.default_rng(1502)
+        for omega_scale in (0.0, -1.0, 1e-9, 1.0, 50.0, -50.0):
+            for _ in range(2):
+                n = int(rng.integers(2, 65))
+                base = float(rng.uniform(0.02, 0.98))
+                amplitude = float(rng.uniform(0.0, 0.999) * min(base, 1.0 - base))
+                omega = omega_scale * float(rng.uniform(0.5, 2.0))
+                duration = float(10 ** rng.uniform(-2.0, 6.3))
+                profile = ModulationProfile(base, amplitude, omega, duration)
+                reference = time_average_reference(n, base, amplitude, omega, duration)
+                assert abs(time_average_binary_rate(n, profile) - reference) <= 1e-12, profile
+
+    def test_zero_frequency_is_the_constant_rate(self):
+        profile = ModulationProfile(0.3, 0.2, 0.0, 7.0)
+        assert time_average_binary_rate(9, profile) == pytest.approx(binary_rate(9, 0.3), abs=1e-15)
 
     def test_profile_validation(self):
         with pytest.raises(DomainError):
@@ -222,5 +258,5 @@ class TestCrossingPoints:
 
 class TestReport:
     def test_ordering_invariant(self):
-        rep = efficiency_report(6, 0.4)
-        assert 0 <= rep.binary_rate <= rep.block_rate <= rep.shannon <= 1.0
+        n, p = 6, 0.4
+        assert 0 <= binary_rate(n, p) <= block_entropy_rate(n, p) <= shannon_binary(p) <= 1.0
