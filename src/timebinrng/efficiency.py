@@ -136,7 +136,9 @@ def time_average_binary_rate(n: int, profile: ModulationProfile) -> float:
     theta = 2.0 * np.pi * np.arange(_PHASES) / _PHASES
     p = profile.base + profile.amplitude * np.sin(theta)
     g = np.fft.rfft(_per_k_sum(n, p, _expansion_bit_weights(n)))[: n + 1] / _PHASES
-    x = np.arange(n + 1) * (profile.angular_frequency * profile.duration)
+    span = profile.angular_frequency * profile.duration
+    check_finite("angular_frequency * duration", span)
+    x = np.arange(n + 1) * span
     kernel = np.sinc(x / np.pi) + 1j * np.sin(x / 2.0) * np.sinc(x / (2.0 * np.pi))
     terms = (g * kernel).real
     return float(2.0 * terms.sum() - terms[0])

@@ -162,10 +162,6 @@ class TestTimeAverage:
                 reference = time_average_reference(n, base, amplitude, omega, duration)
                 assert abs(time_average_binary_rate(n, profile) - reference) <= 1e-12, profile
 
-    def test_zero_frequency_is_the_constant_rate(self):
-        profile = ModulationProfile(0.3, 0.2, 0.0, 7.0)
-        assert time_average_binary_rate(9, profile) == pytest.approx(binary_rate(9, 0.3), abs=1e-15)
-
     def test_profile_validation(self):
         with pytest.raises(DomainError):
             ModulationProfile(0.5, 0.5, 1.0, 1.0)

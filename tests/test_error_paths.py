@@ -24,6 +24,7 @@ from timebinrng import (
     extract,
     iter_simulate,
     streamio,
+    time_average_binary_rate,
     uniformity_matrix,
     unrank_combination,
     verify_monotone_convergence,
@@ -102,6 +103,11 @@ class TestLibrary:
         profile = ModulationProfile(0.5, 0.3, 1.0, 1.0)
         with pytest.raises(DomainError, match="exceeds 1"):
             SourceModel(modulation=profile, afterpulse_taps=(0.25,))
+
+    def test_drift_phase_past_the_float_range(self):
+        profile = ModulationProfile(0.5, 0.3, 1e200, 1e200)
+        with pytest.raises(DomainError, match="angular_frequency"):
+            time_average_binary_rate(4, profile)
 
     def test_negative_modulation_amplitude(self):
         with pytest.raises(DomainError, match="amplitude"):
