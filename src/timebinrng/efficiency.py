@@ -148,6 +148,9 @@ def time_average_binary_rate(n: int, profile: ModulationProfile) -> float:
 # numeric verification of the optimality structure
 
 
+_GRID_SLICE = 1024  # p values of the optimality grid evaluated at a time
+
+
 @dataclass(frozen=True)
 class OptimalPRecord:
     n: int
@@ -163,11 +166,14 @@ def verify_optimal_p(n: int, grid_step: float = 0.01) -> OptimalPRecord:
     if not (0.0 < grid_step <= 0.1):
         raise DomainError(f"grid_step must be in (0, 0.1], got {grid_step}")
     reference = block_entropy_rate(n, 0.5)
-    grid = np.arange(1, int(1.0 / grid_step) + 2) * grid_step
-    h = _per_k_sum(n, grid[grid < 1.0], _entropy_weights(n))
-    best = int(np.argmax(h))
-    best_p = float(grid[best]) if h[best] > reference else 0.5
-    max_violation = max(0.0, float(h[best]) - reference)
+    best_h, best_p = reference, 0.5  # unless a grid value beats p = 1/2
+    stop = int(1.0 / grid_step) + 2
+    for a in range(1, stop, _GRID_SLICE):  # grid values i * grid_step, a slice at a time
+        grid = np.arange(a, min(a + _GRID_SLICE, stop)) * grid_step
+        h = _per_k_sum(n, grid[grid < 1.0], _entropy_weights(n))
+        if h.size and h.max() > best_h:  # a later equal value keeps the first, as np.argmax
+            best_h, best_p = float(h.max()), float(grid[np.argmax(h)])
+    max_violation = best_h - reference
     passed = max_violation <= 1e-12 and abs(best_p - 0.5) <= grid_step * (1 + 1e-9)
     return OptimalPRecord(n, grid_step, best_p, max_violation, passed)
 

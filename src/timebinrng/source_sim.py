@@ -10,15 +10,19 @@ draw below lo clicks, one at or above top cannot, and only the
 undecided draws in between get p evaluated, once each, with the same
 expression as for the whole chunk, so the stream is exactly the one
 the full evaluation gives.  A constant p is lo, and top is
-p + max(taps), or absent without taps.  A modulated p moves by about
-4e-4 over 4,096 windows of the lit scenarios, so it is evaluated at
-the two end windows of each 4,096-window sub-interval and bounded in
-between by the Lipschitz constant |amplitude * angular_frequency| plus
-a small absolute slack; top adds max(taps) to the upper bound.  These p
-values settle the undecided draws' own clicks, then the afterpulse
-resolve: exact and mostly vectorised, it settles most candidates by
-the latest unconditional click alone and the rest, which wait on an
-earlier tap-induced click, in one pass over just those windows.
+p + max(taps), or absent without taps.  A modulated p moves by at
+most about 3e-3 over 2^15 windows of the lit scenarios, so it is
+evaluated at the two end windows of each 2^15-window sub-interval and
+bounded in between by the mean of those two values, give or take half
+the Lipschitz constant |amplitude * angular_frequency| times the
+sub-interval's length, plus a small absolute slack; top adds max(taps)
+to the upper bound.  Each sub-interval is thresholded with one scalar
+compare per bound; about 0.3% of the lit scenarios' windows fall
+between the bounds.  These p values settle the undecided draws' own
+clicks, then the afterpulse resolve: exact and mostly vectorised, it
+settles most candidates by the latest unconditional click alone and
+the rest, which wait on an earlier tap-induced click, in one pass over
+just those windows.
 A chunk holds one byte per window, its clicks; the draws are made and
 thresholded in 2^16-window blocks, into buffers each slice keeps from
 chunk to chunk, and only the undecided draws are kept, with their
@@ -30,7 +34,7 @@ so a stream is fully determined by (model, n_windows, seed, channel_id)
 regardless of chunking.
 
 A large chunk is cut into contiguous slices, one per core this process
-may run on, at multiples of the 4,096-window sub-interval.  Each slice
+may run on, at multiples of the 2^15-window sub-interval.  Each slice
 draws from its own generator, seeded the same way and kept from chunk
 to chunk; ``PCG64.advance`` (about a microsecond) moves it on to the
 slice's first window, so window i still takes the i-th draw and the
@@ -65,7 +69,7 @@ GENERATOR_TAG = "numpy-pcg64 seedseq=[seed,channel_id]"
 
 _FAR_PAST = -(1 << 62)
 
-_SPAN = 4096  # windows per sub-interval over which a modulated p is bounded
+_SPAN = 1 << 15  # windows per sub-interval over which a modulated p is bounded
 _SLACK = 1e-9  # absolute margin of that bound, far above the rounding in t, w*t and sin
 _MIN_SLICE = 1 << 18  # fewest windows a chunk is sliced into for another thread
 _BLOCK = 1 << 16  # windows a slice draws and thresholds at a time, a multiple of _SPAN
@@ -130,16 +134,12 @@ def click_probability(model: SourceModel, t: float = 0.0):
 
 
 def _below(u: np.ndarray, bound, out: np.ndarray) -> np.ndarray:
-    """u < bound into ``out``: ``bound`` is a float, or one value per sub-interval of u."""
+    """u < bound into ``out``: ``bound`` is a float, or one value per sub-interval of u,
+    each sub-interval one compare against a scalar."""
     if not isinstance(bound, np.ndarray):
         return np.less(u, bound, out=out)
-    full = u.size - u.size % _SPAN
-    np.less(
-        u[:full].reshape(-1, _SPAN),
-        bound[: full // _SPAN, None],
-        out=out[:full].reshape(-1, _SPAN),
-    )
-    np.less(u[full:], bound[-1], out=out[full:])
+    for j, a in enumerate(range(0, u.size, _SPAN)):
+        np.less(u[a : a + _SPAN], bound[j], out=out[a : a + _SPAN])
     return out
 
 
@@ -148,18 +148,20 @@ def _bound_modulated(model: SourceModel, times, count: int):
 
     lo <= p <= top - max(taps).  p is evaluated at the two end windows
     of each sub-interval only.  The float time grid is monotone, so
-    every window lies between its sub-interval's ends, and p stays
-    within L * (t_b - t_a) of both end values,
-    L = |amplitude * angular_frequency|.
+    every window t lies between its sub-interval's ends t_a and t_b.
+    With L = |amplitude * angular_frequency|, p(t) is at least
+    max(p_a - L (t - t_a), p_b - L (t_b - t)), which is at least their
+    mean, (p_a + p_b) / 2 - L (t_b - t_a) / 2, and at most the same
+    mean plus L (t_b - t_a) / 2: the band is L (t_b - t_a) wide.
     """
     first = np.arange(0, count, _SPAN)
     t = times(np.concatenate((first, np.minimum(first + (_SPAN - 1), count - 1))))
     p = click_probability(model, t)
     k = first.size
     mod = model.modulation
-    reach = abs(mod.amplitude * mod.angular_frequency) * (t[k:] - t[:k]) + _SLACK
-    hi = np.maximum(p[:k], p[k:]) + reach
-    return np.minimum(p[:k], p[k:]) - reach, hi + max(model.afterpulse_taps, default=0.0)
+    mid = (p[:k] + p[k:]) / 2
+    reach = abs(mod.amplitude * mod.angular_frequency) * (t[k:] - t[:k]) / 2 + _SLACK
+    return mid - reach, mid + reach + max(model.afterpulse_taps, default=0.0)
 
 
 def _resolve_afterpulses(

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from timebinrng import efficiency
 from timebinrng import (
     DomainError,
     ModulationProfile,
@@ -187,6 +190,36 @@ class TestOptimalP:
     def test_step_validation(self):
         with pytest.raises(DomainError):
             verify_optimal_p(4, 0.5)
+
+    @pytest.mark.parametrize("step", [0.1, 0.01, 0.003, 1 / 11, 1 / 13])
+    @pytest.mark.parametrize("reference", [None, 0.0])
+    def test_slices_keep_the_whole_grid_argmax(self, step, reference):
+        # 5-value slices against one argmax over the whole grid.  A made-up
+        # reference of 0 makes the grid's own maximum count; at steps 1/11 and
+        # 1/13, h(k/N) and h(1 - k/N) tie for many n, in different slices,
+        # and the first must win
+        for n in range(2, 65):
+            grid = np.arange(1, int(1.0 / step) + 2) * step
+            h = efficiency._per_k_sum(n, grid[grid < 1.0], efficiency._entropy_weights(n))
+            ref = block_entropy_rate(n, 0.5) if reference is None else reference
+            best = int(np.argmax(h))
+            with mock.patch.object(efficiency, "_GRID_SLICE", 5), \
+                    mock.patch.object(efficiency, "block_entropy_rate", lambda n, p: ref):
+                record = verify_optimal_p(n, step)
+            assert record.argmax_p == (float(grid[best]) if h[best] > ref else 0.5), n
+            assert record.max_violation == max(0.0, float(h[best]) - ref), n
+
+    def test_memory_is_bounded(self):
+        # the grid a slice at a time: its 100,000 values at once hold ~98 MiB
+        verify_optimal_p(64, 0.1)  # cached weights
+        tracemalloc.start()
+        try:
+            record = verify_optimal_p(64, 1e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.passed
+        assert peak <= 4 << 20
 
 
 class TestMonotoneConvergence:

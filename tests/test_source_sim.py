@@ -229,40 +229,67 @@ def recorded_p_at():
         yield seen
 
 
+def draw_modulated(data):
+    """A modulated model with 0-4 taps, and a start time t0."""
+    amplitude = data.draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.45), "amplitude")
+    base = data.draw(st.floats(amplitude + 0.01, 0.99 - amplitude), "base")
+    # from constant p through the lit drift to many periods per sub-interval,
+    # where the bound is vacuous and every window is evaluated
+    magnitude = data.draw(
+        st.sampled_from([0.0, 0.1 * math.pi, 1e7]) | st.floats(-3.0, 7.0).map(lambda e: 10**e),
+        "omega",
+    )
+    omega = magnitude * data.draw(st.sampled_from([1, -1]), "sign")
+    gate_frequency = data.draw(st.sampled_from([1e3, 1e6, 1e9]), "gate_frequency")
+    room = 1.0 - (base + amplitude)
+    taps = tuple(room * t for t in data.draw(st.lists(st.floats(0.0, 0.99), max_size=4), "taps"))
+    model = SourceModel(
+        modulation=ModulationProfile(base, amplitude, omega, 1.0),
+        afterpulse_taps=taps,
+        gate_frequency=gate_frequency,
+    )
+    return model, data.draw(st.sampled_from([0.0, 1e6]) | st.floats(0.0, 1e6), "t0")
+
+
 class TestModulationBound:
     """A modulated chunk evaluates p(t) only where a draw is too close to call."""
 
     @given(st.data())
     def test_matches_whole_array_reference(self, data):
-        amplitude = data.draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.45), "amplitude")
-        base = data.draw(st.floats(amplitude + 0.01, 0.99 - amplitude), "base")
-        # from constant p through the lit drift to many periods per sub-interval,
-        # where the bound is vacuous and every window is evaluated
-        magnitude = data.draw(
-            st.sampled_from([0.0, 0.1 * math.pi, 1e7]) | st.floats(-3.0, 7.0).map(lambda e: 10**e),
-            "omega",
-        )
-        omega = magnitude * data.draw(st.sampled_from([1, -1]), "sign")
-        gate_frequency = data.draw(st.sampled_from([1e3, 1e6, 1e9]), "gate_frequency")
-        room = 1.0 - (base + amplitude)
-        taps = tuple(room * t for t in data.draw(st.lists(st.floats(0.0, 0.99), max_size=4), "taps"))
-        model = SourceModel(
-            modulation=ModulationProfile(base, amplitude, omega, 1.0),
-            afterpulse_taps=taps,
-            gate_frequency=gate_frequency,
-        )
-        t0 = data.draw(st.sampled_from([0.0, 1e6]) | st.floats(0.0, 1e6), "t0")
-        n = data.draw(st.integers(1, 5 * source_sim._SPAN), "windows")
+        model, t0 = draw_modulated(data)
+        n = data.draw(st.integers(1, 5 * 4096), "windows")
         # chunks of any length split sub-intervals, which start anew in each chunk
         chunk = data.draw(st.integers(max(1, n // 16), n), "chunk")
         seed = data.draw(st.integers(0, 2**32 - 1), "seed")
         expected = simulate_reference(model, n, seed, t0=t0)
-        with recorded_p_at() as seen:
+        with recorded_p_at() as seen, mock.patch.object(source_sim, "_SPAN", 4096):
             got = np.concatenate(list(iter_simulate(model, n, seed, chunk_windows=chunk, t0=t0)))
         assert np.array_equal(got, expected)
         # p is only ever evaluated at times of the whole-stream grid, bit for bit
         grid = t0 + np.arange(n, dtype=np.float64) * model.window_period
         assert np.isin(np.concatenate(seen).view(np.uint64), grid.view(np.uint64)).all()
+
+    @given(st.data())
+    def test_bound_holds_every_window(self, data):
+        # lo <= p <= top - max(taps) at every window of a sub-interval, p from the
+        # whole-array expression, and the band is no wider than L * (t_b - t_a)
+        model, t0 = draw_modulated(data)
+        span = source_sim._SPAN
+        count = data.draw(st.integers(1, 3 * span) | st.sampled_from([span - 1, span, span + 1]), "chunk")
+        t = t0 + np.arange(count, dtype=np.float64) * model.window_period  # as tests/oracles.py
+        p = np.clip(model.modulation.p_at(t), 0.0, 1.0)
+        lo, top = source_sim._bound_modulated(model, lambda idx: t[idx], count)
+        hi = top - max(model.afterpulse_taps, default=0.0)
+        which = np.arange(count) // span
+        assert lo.size == which[-1] + 1
+        assert (lo[which] <= p).all() and (p <= hi[which]).all()
+        first = np.arange(0, count, span)
+        mod = model.modulation
+        reach = abs(mod.amplitude * mod.angular_frequency) * (
+            t[np.minimum(first + span - 1, count - 1)] - t[first]
+        )
+        # give or take the rounding of mid +- reach
+        assert (hi - lo <= (reach + 2 * source_sim._SLACK) * (1 + 1e-12) + 1e-15).all()
 
     def test_p_is_evaluated_for_few_windows(self):
         (model,) = preset("a")
@@ -304,11 +331,12 @@ class TestModulationBound:
 
 
 @contextmanager
-def sliced(threads, block=source_sim._SPAN):
-    """Cut every chunk into up to ``threads`` slices of at least 4,096 windows,
-    each drawn ``block`` windows at a time."""
+def sliced(threads, block=4096, span=4096):
+    """Cut every chunk into up to ``threads`` slices of at least ``span`` windows,
+    each drawn ``block`` windows at a time, a modulated p bounded over ``span``."""
     with mock.patch.object(source_sim, "_slice_threads", lambda: threads), \
-            mock.patch.object(source_sim, "_MIN_SLICE", source_sim._SPAN), \
+            mock.patch.object(source_sim, "_MIN_SLICE", span), \
+            mock.patch.object(source_sim, "_SPAN", span), \
             mock.patch.object(source_sim, "_BLOCK", block):
         yield
 
@@ -346,7 +374,7 @@ class TestSlices:
         model = SourceModel(**{**vars(model), "afterpulse_taps": tuple(room * t for t in shares)})
         # at least two sub-intervals, so that every chunk of 2 * 4,096 windows or more
         # is sliced; a shorter last chunk then draws alone from a moved generator
-        n = data.draw(st.integers(2 * source_sim._SPAN, 12 * source_sim._SPAN), "windows")
+        n = data.draw(st.integers(2 * 4096, 12 * 4096), "windows")
         # most chunk lengths are no multiple of 4,096, so a chunk's last slice is ragged
         chunk = data.draw(st.integers(n // 5, n), "chunk")
         seed = data.draw(st.integers(0, 2**32 - 1), "seed")
@@ -363,7 +391,7 @@ class TestSlices:
             modulation=ModulationProfile(0.4, 0.3, 30.0, 1.0), afterpulse_taps=(0.1, 0.05)
         )
         n = 7 * source_sim._BLOCK // 2 + 1_234
-        with sliced(threads, block=source_sim._BLOCK):
+        with sliced(threads, block=source_sim._BLOCK, span=source_sim._SPAN):
             got = np.concatenate(list(iter_simulate(model, n, seed=11, chunk_windows=chunk or n)))
         assert np.array_equal(got, simulate_reference(model, n, seed=11))
 
