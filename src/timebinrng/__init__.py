@@ -65,7 +65,6 @@ from .extractor import (
 from .source_sim import (
     GENERATOR_TAG,
     SCENARIOS,
-    ScenarioPreset,
     SourceModel,
     click_probability,
     iter_simulate,

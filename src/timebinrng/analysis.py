@@ -21,6 +21,7 @@ from .streamio import write_ascii_bits, write_packed_bits
 
 MAX_WORD_BITS = 16
 UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
+_ROWS = 64  # counts rows whose deviations are evaluated at a time
 
 
 def fold_words(bits: np.ndarray, width: int) -> np.ndarray:
@@ -137,20 +138,23 @@ def uniformity_matrix(stream: DetectionStream, block_len: int = 4) -> Uniformity
     counts = np.bincount(joint, minlength=size * size).reshape(size, size)
     pair_count = pairs.shape[0]
 
-    diff = np.abs(counts - counts.T)
-    tot = counts + counts.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym_z = np.where(tot > 0, diff / np.sqrt(tot), 0.0)
-    symmetry_deviation = float(sym_z.max())
-
+    # both maxima are taken over a slice of rows at a time, so that at
+    # n = 12 no further 4^n-cell array is alive beside counts
     row = counts.sum(axis=1)
     col = counts.sum(axis=0)
-    expected = np.outer(row, col) / pair_count
-    # Pearson residuals need a few expected counts per cell to be
-    # normal-ish; rarely populated cells are excluded from the max
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ind_z = np.where(expected >= 10, np.abs(counts - expected) / np.sqrt(expected), 0.0)
-    independence_deviation = float(ind_z.max())
+    symmetry_deviation = independence_deviation = 0.0
+    for a in range(0, size, _ROWS):
+        rows, mirror = counts[a : a + _ROWS], counts[:, a : a + _ROWS].T
+        diff = np.abs(rows - mirror)
+        tot = rows + mirror
+        expected = np.outer(row[a : a + _ROWS], col) / pair_count
+        # Pearson residuals need a few expected counts per cell to be
+        # normal-ish; rarely populated cells are excluded from their max
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sym_z = np.where(tot > 0, diff / np.sqrt(tot), 0.0)
+            ind_z = np.where(expected >= 10, np.abs(rows - expected) / np.sqrt(expected), 0.0)
+        symmetry_deviation = max(symmetry_deviation, float(sym_z.max()))
+        independence_deviation = max(independence_deviation, float(ind_z.max()))
 
     # for counts a <= b, (b - a) / sqrt(a + b) rises with b and falls with
     # a, so each k class's largest pairwise value is its min against its max

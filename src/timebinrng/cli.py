@@ -58,12 +58,6 @@ _MAX_RANGE = 10**6  # values an efficiency range may select, far more than any t
 # helpers
 
 
-def _model_to_dict(model: SourceModel) -> dict:
-    d = asdict(model)
-    d["afterpulse_taps"] = list(model.afterpulse_taps)
-    return d
-
-
 _MODEL_KEYS = frozenset(f.name for f in fields(SourceModel))
 _MODULATION_KEYS = frozenset(f.name for f in fields(ModulationProfile))
 
@@ -204,7 +198,7 @@ def _cmd_simulate(args, argv: list[str]) -> int:
                 "command": "simulate",
                 "version": __version__,
                 "scenario": scenario,
-                "model": _model_to_dict(model),
+                "model": asdict(model),
                 "windows": args.windows,
                 "seed": args.seed,
                 "channel_id": channel,
@@ -228,6 +222,9 @@ def _open_input(path, chunk_windows: int):
         header = streamio.read_stream_header(path)
         chunks = streamio.iter_stream_payload(path, chunk_windows, _header=header)
         return header[0], header[1] * 1e-9, chunks
+    if streamio.packed_bits_meta(path) is not None:
+        raise DomainError(f"{path}: extract needs a window stream (TIMEBIN1 or ascii windows);"
+                          " got a packed bit file")
     windows = streamio.read_ascii_bits(path)
     count, packed = windows.size, np.packbits(windows)
     chunks = ((packed[i // 8 : (i + chunk_windows) // 8], min(chunk_windows, count - i))

@@ -29,13 +29,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _choose(n: int, k: int) -> int:
-    """C(n, k) with the usual convention C(n, k) = 0 for k > n."""
-    if k < 0 or k > n:
-        return 0
-    return binomial(n, k)
-
-
 @dataclass(frozen=True)
 class Combination:
     """k avalanche positions inside an n-window block, 1-based, ascending."""
@@ -83,7 +76,7 @@ def rank_combination(c: Combination) -> int:
         )
     rank = 0
     for j, p in enumerate(c.positions, start=1):
-        rank += _choose(c.n - p, c.k - j + 1)
+        rank += math.comb(c.n - p, c.k - j + 1)
     return rank
 
 
@@ -98,9 +91,9 @@ def unrank_combination(n: int, k: int, rank: int) -> Combination:
     p = 1
     for j in range(1, k + 1):
         # advance p until the j-th term C(n-p, k-j+1) is <= remaining rank
-        while _choose(n - p, k - j + 1) > rank:
+        while math.comb(n - p, k - j + 1) > rank:
             p += 1
-        rank -= _choose(n - p, k - j + 1)
+        rank -= math.comb(n - p, k - j + 1)
         positions.append(p)
         p += 1
     return Combination(n, k, tuple(positions))

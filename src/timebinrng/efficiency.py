@@ -17,10 +17,11 @@ in the drift phase, so its mean is a finite sum over its Fourier
 coefficients.
 
 The module also verifies, numerically, that p = 1/2 maximizes the block
-rate, that the rate at p = 1/2 increases towards 1 with n, and that the
+rate and that the rate at p = 1/2 increases towards 1 with n.  The
 symmetrized weight function p^k q^(n-k) + p^(n-k) q^k crosses its
 p = 1/2 value exactly twice in k (the structure behind the optimality
-proof)."""
+proof); ``crossing_points`` derives both crossings in closed form
+rather than searching for them."""
 
 from __future__ import annotations
 
@@ -200,36 +201,22 @@ def verify_monotone_convergence(n_max: int = 64) -> MonotoneRecord:
 def crossing_points(n: int, p: float) -> tuple[float, float]:
     """Roots in k of p^k q^(n-k) + p^(n-k) q^k = 2^(1-n).
 
-    The symmetrized weight starts above its p = 1/2 value at k = 0,
-    dips below it around k = n/2, and crosses exactly twice; the two
-    crossings are symmetric about n/2.  Each root is located by
-    independent bracketed bisection.
+    With x = k - n/2 the weight is 2 (pq)^(n/2) cosh(x ln(q/p)), so it
+    dips below its p = 1/2 value around k = n/2 and crosses it exactly
+    twice, at n/2 -+ acosh((4pq)^(-n/2)) / |ln(q/p)|.  With d = p - q,
+    ln(4pq) is log1p(-d^2) and ln(q/p) is log1p(-d/p) for |d| < 1/2,
+    and acosh(e^a) = a + log1p(sqrt(-expm1(-2a))), so no term cancels,
+    however close p is to 1/2 or to 0 or 1.
     """
     _check_n(n)
     _check_p(p)
     if p == 0.5:
         raise DomainError("p = 1/2 is degenerate: the identity holds for every k")
-    lp, lq = math.log(p), math.log(1.0 - p)
-    target = 2.0 ** (1 - n)
-
-    def g(x: float) -> float:
-        return math.exp(x * lp + (n - x) * lq) + math.exp((n - x) * lp + x * lq) - target
-
-    def bisect(lo: float, hi: float) -> float:
-        glo, ghi = g(lo), g(hi)
-        if not (glo > 0.0 > ghi or glo < 0.0 < ghi):
-            raise DomainError(f"no sign change on [{lo}, {hi}] for n={n} p={p}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            gm = g(mid)
-            if (gm > 0.0) == (glo > 0.0):
-                lo, glo = mid, gm
-            else:
-                hi, ghi = mid, gm
-        return 0.5 * (lo + hi)
-
-    x1 = bisect(0.0, n / 2.0)
-    x2 = bisect(n / 2.0, float(n))
-    return x1, x2
+    d = 2.0 * p - 1.0  # exact for p >= 1/4
+    if abs(d) < 0.5:
+        log_4pq, log_q_p = math.log1p(-d * d), math.log1p(-d / p)
+    else:  # no cancellation here, and d / p would overflow for a subnormal p
+        log_4pq, log_q_p = math.log(4.0 * p * (1.0 - p)), math.log1p(-p) - math.log(p)
+    a = -0.5 * n * log_4pq
+    x = (a + math.log1p(math.sqrt(-math.expm1(-2.0 * a)))) / abs(log_q_p)
+    return n / 2.0 - x, n / 2.0 + x

@@ -317,11 +317,10 @@ class _BlockCodec:
             raise DomainError(f"block_len must be in [2, {MAX_BLOCK_LEN}], got {block_len}")
         n = self.n = block_len
         n_bytes = (n + 7) // 8
-        # C(a, b) by Pascal's rule, zero for b > a; 9 columns at least for n < 8
-        choose = np.zeros((n + 1, max(n, 8) + 1), dtype=np.uint64)
-        choose[:, 0] = 1
-        for a in range(1, n + 1):
-            choose[a, 1:] = choose[a - 1, 1:] + choose[a - 1, :-1]
+        # C(a, b), zero for b > a; 9 columns at least for n < 8
+        choose = np.array(
+            [[math.comb(a, b) for b in range(max(n, 8) + 1)] for a in range(n + 1)], dtype=np.uint64
+        )
         # C(n, k), with 0 for the single-outcome k = 0 and k = n: their rank
         # 0 then has bit length 0, width -1
         self._cnk = choose[n, : n + 1].copy()

@@ -408,20 +408,6 @@ def simulate(
 # scenario presets
 
 
-@dataclass(frozen=True)
-class ScenarioPreset:
-    name: str
-    channels: int
-    light_on: bool
-    description: str
-
-
-SCENARIOS = {
-    "a": ScenarioPreset("a", 1, True, "one modulated lit channel"),
-    "b": ScenarioPreset("b", 2, True, "two modulated lit channels"),
-    "c": ScenarioPreset("c", 2, False, "two dark-count-only channels"),
-}
-
 # Modulation of the lit scenarios.  The drive swings the click
 # probability symmetrically about 1/2 over a 20 s period; the amplitude
 # is the one consistent with the reference time-averaged yield of
@@ -433,26 +419,18 @@ LIT_MODULATION = ModulationProfile(
 # Dark-carrier mean giving exactly p = 0.01 per window.
 _DARK_RATE_1PCT = -math.log(0.99)
 
+# light + dark together give p = 1/2 unmodulated
+_LIT = SourceModel(
+    mean_photons=math.log(1.98), dark_rate=_DARK_RATE_1PCT, modulation=LIT_MODULATION
+)
+_DARK = SourceModel(dark_rate=_DARK_RATE_1PCT)
+
+# one model per channel: one modulated lit channel, two of them, two dark-count-only ones
+SCENARIOS = {"a": (_LIT,), "b": (_LIT, _LIT), "c": (_DARK, _DARK)}
+
 
 def preset(name: str) -> list[SourceModel]:
     """Source models for scenario ``a``, ``b``, or ``c``, one per channel."""
     if name not in SCENARIOS:
         raise DomainError(f"unknown scenario {name!r}; choose one of a, b, c")
-    info = SCENARIOS[name]
-    if info.light_on:
-        model = SourceModel(
-            mean_photons=math.log(1.98),  # light + dark together give p = 1/2 unmodulated
-            dark_rate=_DARK_RATE_1PCT,
-            efficiency=1.0,
-            modulation=LIT_MODULATION,
-            gate_frequency=1e6,
-        )
-    else:
-        model = SourceModel(
-            mean_photons=0.0,
-            dark_rate=_DARK_RATE_1PCT,
-            efficiency=1.0,
-            modulation=None,
-            gate_frequency=1e6,
-        )
-    return [model] * info.channels
+    return list(SCENARIOS[name])

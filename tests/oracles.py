@@ -5,11 +5,14 @@ stdlib primitives only, deliberately ignoring the library's fast paths,
 so agreement is meaningful.  The exceptions are the simulator
 references: the afterpulse reference, a per-candidate loop that keeps
 numpy only for array access, and the whole-simulator reference, which
-evaluates p(t) at every window with the library's own expression.
+evaluates p(t) at every window with the library's own expression; and
+the uniformity-deviation reference, the dense whole-matrix numpy
+expressions that the library now evaluates a slice of rows at a time.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from itertools import combinations as iter_combinations
 
@@ -95,6 +98,49 @@ def subblock_max_z_reference(pattern_counts, n):
             if a + b:
                 best = max(best, abs(a - b) / math.sqrt(a + b))
     return best
+
+
+def uniformity_deviations_reference(counts):
+    """(symmetry, independence) deviations of a pair-count matrix, each
+    over the whole matrix at once: max |c(x,y) - c(y,x)| / sqrt(c(x,y) + c(y,x)),
+    and the largest Pearson residual |c - e| / sqrt(e) over the cells whose
+    expected count e = row * col / pairs is at least 10."""
+    diff = np.abs(counts - counts.T)
+    tot = counts + counts.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sym_z = np.where(tot > 0, diff / np.sqrt(tot), 0.0)
+    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ind_z = np.where(expected >= 10, np.abs(counts - expected) / np.sqrt(expected), 0.0)
+    return float(sym_z.max()), float(ind_z.max())
+
+
+def crossing_reference(n, p):
+    """Both roots in k of p^k q^(n-k) + p^(n-k) q^k = 2^(1-n), by bisecting
+    that equation in ``decimal`` arithmetic at 50 significant digits, 120
+    halvings each, on [0, n/2] and on [n/2, n]: the weight exceeds 2^(1-n)
+    at k = 0 and k = n and falls below it at k = n/2 unless p = 1/2."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p = decimal.Decimal(p)
+        lp, lq = p.ln(), (1 - p).ln()
+        target = decimal.Decimal(2) ** (1 - n)
+
+        def excess(k):
+            return (k * lp + (n - k) * lq).exp() + ((n - k) * lp + k * lq).exp() - target
+
+        half = decimal.Decimal(n) / 2
+        roots = []
+        for lo, hi in ((decimal.Decimal(0), half), (half, decimal.Decimal(n))):
+            lo_above = excess(lo) > 0
+            for _ in range(120):
+                mid = (lo + hi) / 2
+                if (excess(mid) > 0) == lo_above:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append(float((lo + hi) / 2))
+    return tuple(roots)
 
 
 def rate_weights(n, expanded=True):

@@ -7,6 +7,7 @@ import pytest
 from timebinrng import (
     DetectionStream,
     DomainError,
+    ModulationProfile,
     SourceModel,
     UnsupportedCaseError,
     afterpulse_entropy,
@@ -20,9 +21,9 @@ from timebinrng import (
     statistical_error_scale,
     uniformity_matrix,
 )
-from timebinrng import streamio
+from timebinrng import analysis, streamio
 
-from oracles import subblock_max_z_reference
+from oracles import subblock_max_z_reference, uniformity_deviations_reference
 
 # frozen against a 60-digit Decimal evaluation of the event probabilities
 DEFICIT_TAP_43E4 = 1.0014767433492367e-07
@@ -176,6 +177,36 @@ class TestUniformityMatrix:
         rep = uniformity_matrix(simulate(model, 1_000_000, seed=46), n)
         assert rep.subblock_max_z > 0
         assert rep.subblock_max_z == subblock_max_z_reference(rep.pattern_counts, n)
+
+    @pytest.mark.parametrize("rows", [5, analysis._ROWS])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_deviations_match_dense_reference(self, n, rows, monkeypatch):
+        # an i.i.d. stream at p = 0.3 and one whose p swings 0.1..0.9 at 50 Hz;
+        # 5 rows at a time leaves a ragged last slice for every n >= 3
+        monkeypatch.setattr(analysis, "_ROWS", rows)
+        drift = ModulationProfile(base=0.5, amplitude=0.4, angular_frequency=100 * math.pi,
+                                  duration=1.0)
+        iid = np.random.default_rng(300 + n).random(200_000) < 0.3
+        streams = [
+            DetectionStream(iid.astype(np.uint8)),
+            simulate(SourceModel(modulation=drift), 200_000, seed=300 + n),
+        ]
+        for stream in streams:
+            rep = uniformity_matrix(stream, n)
+            assert rep.independence_deviation > 0
+            reference = uniformity_deviations_reference(rep.counts)
+            assert (rep.symmetry_deviation, rep.independence_deviation) == reference
+
+    def test_memory_is_bounded_beside_counts(self):
+        # five dense 4^12-cell float64 arrays once lived beside counts: 912 MiB at n = 12
+        windows = (np.random.default_rng(301).random(48_000) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            rep = uniformity_matrix(DetectionStream(windows), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rep.counts.nbytes + (32 << 20)
 
     def test_passed_is_the_5_5_4_sigma_rule(self):
         # pair-count matrices, each failing one bound alone, laid out as

@@ -181,6 +181,17 @@ class TestExtract:
         assert code == 2
         assert "byte offset 6" in err
 
+    def test_packed_bit_file_is_input_error(self, tmp_path, capsys):
+        # its bytes "01\n" would read as two ASCII windows if the sidecar were ignored
+        packed = tmp_path / "bits.bin"
+        streamio.write_packed_bits(packed, b"01\n", 24)
+        bits = tmp_path / "o.bin"
+        code, _, err = run(capsys, "extract", str(packed), "-N", "2", "--out", str(bits))
+        assert code == 2
+        assert str(packed) in err
+        assert "window stream (TIMEBIN1 or ascii windows)" in err
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(bits.name)]
+
     def test_missing_input(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "extract", str(tmp_path / "nope.tbd1"), "--out", str(tmp_path / "o.bin")

@@ -22,7 +22,7 @@ from timebinrng import (
     verify_optimal_p,
 )
 
-from oracles import rate_reference, time_average_reference
+from oracles import crossing_reference, rate_reference, time_average_reference
 
 
 class TestShannon:
@@ -245,7 +245,7 @@ class TestCrossingPoints:
 
     def test_against_dense_scan(self):
         # bracket the sign changes with a 10^4-point scan and check the
-        # bisection roots fall inside those brackets
+        # closed-form roots fall inside those brackets
         n, p = 4, 0.6
         q = 1 - p
         ks = np.linspace(0, n, 10_001)
@@ -283,6 +283,19 @@ class TestCrossingPoints:
     def test_degenerate_p(self):
         with pytest.raises(DomainError):
             crossing_points(4, 0.5)
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(n, p) for n in (2, 3, 4, 5, 8, 13, 16, 17, 33, 64)
+         for p in (0.01, 0.3, 0.4999, 0.500001, 0.7, 0.99)]
+        + [(64, 1e-300), (64, 1 - 1e-16), (17, 0.5 + 2**-40), (64, 0.5 - 2**-30),
+           (2, 0.5 + 2**-52), (64, 5e-324), (3, 0.25), (3, 0.75), (5, 0.2499999999)],
+    )
+    def test_matches_decimal_reference(self, n, p):
+        # near p = 1/2 and near 0 or 1 too (a subnormal p included), and on both
+        # sides of the |p - q| = 1/2 switch between the two forms of the logarithms
+        for x, ref in zip(crossing_points(n, p), crossing_reference(n, p)):
+            assert abs(x - ref) <= 1e-12
 
 
 class TestReport:
