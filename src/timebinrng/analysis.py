@@ -4,6 +4,12 @@ Covers worst-case (min-) entropy of d-bit words, the consecutive-block
 uniformity matrix, the entropy deficit caused by afterpulsing, a
 lightweight statistical sanity screen, and export of bit files for an
 external statistical test suite.
+
+Each report counts its input once.  Min-entropy and uniformity read one
+histogram of MSB-first words: d-bit words, or 2n-bit words for the
+pairs of n-window blocks, whose row and column sums are the per-pattern
+block counts.  The sanity screen takes its run count from the same
+lag-1 counts as its correlation.
 """
 
 from __future__ import annotations
@@ -24,15 +30,16 @@ UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
 _ROWS = 64  # counts rows whose deviations are evaluated at a time
 
 
-def fold_words(bits: np.ndarray, width: int) -> np.ndarray:
-    """Non-overlapping MSB-first ``width``-bit words (width <= 16) of a 0/1
-    array; a partial tail is dropped."""
-    n_words = bits.size // width
-    rows = bits[: n_words * width].reshape(n_words, width)
-    acc = rows[:, 0].astype(np.uint16)
-    for j in range(1, width):
-        acc = (acc << 1) | rows[:, j]
-    return acc
+def _word_counts(bits: np.ndarray, width: int) -> np.ndarray:
+    """Histogram of the non-overlapping MSB-first ``width``-bit words of a
+    0/1 array; a partial tail is dropped.  Words are folded in the
+    narrowest unsigned dtype that holds them."""
+    rows = bits[: bits.size // width * width].reshape(-1, width)
+    words = np.zeros(rows.shape[0], np.min_scalar_type((1 << width) - 1))
+    for column in rows.T:
+        words <<= 1
+        words |= column
+    return np.bincount(words, minlength=1 << width)
 
 
 def statistical_error_scale(word_bits: int, word_count: int) -> float:
@@ -69,9 +76,8 @@ def min_entropy(bits, word_bits: int = 8) -> MinEntropyReport:
         raise DomainError(
             f"need at least {word_bits} bits for {word_bits}-bit words, got {arr.size}"
         )
-    words = fold_words(arr, word_bits)
-    histogram = np.bincount(words, minlength=1 << word_bits)
-    word_count = int(words.size)
+    histogram = _word_counts(arr, word_bits)
+    word_count = arr.size // word_bits
     h_inf = -math.log2(histogram.max() / word_count)
     scale = statistical_error_scale(word_bits, word_count)
     return MinEntropyReport(
@@ -129,19 +135,18 @@ def uniformity_matrix(stream: DetectionStream, block_len: int = 4) -> Uniformity
     n_blocks = windows.size // block_len
     if n_blocks < 2:
         raise DomainError("need at least two full blocks for pair statistics")
-    patterns = fold_words(windows, block_len)
+    # the pair x then y is the 2n-bit word x * 2^n + y; every block is a
+    # row or a column of the pair matrix, except an odd last one
     size = 1 << block_len
-    pattern_counts = np.bincount(patterns, minlength=size).astype(np.int64)
-
-    pairs = patterns[: (n_blocks // 2) * 2].reshape(-1, 2).astype(np.int64)
-    joint = pairs[:, 0] * size + pairs[:, 1]
-    counts = np.bincount(joint, minlength=size * size).reshape(size, size)
-    pair_count = pairs.shape[0]
+    counts = _word_counts(windows, 2 * block_len).reshape(size, size)
+    pair_count = n_blocks // 2
+    row = counts.sum(axis=1)
+    col = counts.sum(axis=0)
+    odd = windows[2 * pair_count * block_len : n_blocks * block_len]
+    pattern_counts = row + col + _word_counts(odd, block_len)
 
     # both maxima are taken over a slice of rows at a time, so that at
     # n = 12 no further 4^n-cell array is alive beside counts
-    row = counts.sum(axis=1)
-    col = counts.sum(axis=0)
     symmetry_deviation = independence_deviation = 0.0
     for a in range(0, size, _ROWS):
         rows, mirror = counts[a : a + _ROWS], counts[:, a : a + _ROWS].T
@@ -220,12 +225,8 @@ def afterpulse_entropy(
     if any(p + t > 1.0 for t in padded):
         raise DomainError("p plus tap exceeds 1; event probabilities undefined")
     q = 1.0 - p
-    probs = []
-    for i in range(1, n + 1):
-        prob = q ** (i - 1) * p
-        for j in range(1, n - i + 1):
-            prob *= q - padded[j - 1]
-        probs.append(prob)
+    probs = [math.prod((q - t for t in padded[: n - i]), start=q ** (i - 1) * p)
+             for i in range(1, n + 1)]
     total = math.fsum(probs)
     cond = [x / total for x in probs]
     entropy = -math.fsum(c * math.log2(c) for c in cond if c > 0)
@@ -274,18 +275,20 @@ def sanity_tests(bits) -> SanityReport:
     zeros = n - ones
     monobit_z = (2.0 * ones - n) / math.sqrt(n)
 
+    # lag-1 counts: ones in arr[:-1], in arr[1:] and in both at once
+    m, head, tail = n - 1, ones - int(arr[-1]), ones - int(arr[0])
+    both = int(np.count_nonzero(arr[1:] & arr[:-1]))
+
     if ones == 0 or zeros == 0:
         runs_z = math.inf
     else:
-        runs = 1 + int(np.count_nonzero(arr[1:] != arr[:-1]))
+        runs = 1 + head + tail - 2 * both  # a run ends where exactly one of a pair is 1
         expected = 1.0 + 2.0 * ones * zeros / n
         variance = (expected - 1.0) * (expected - 2.0) / (n - 1.0)
         runs_z = (runs - expected) / math.sqrt(variance)
 
     # Pearson correlation of arr[:-1] and arr[1:] from exact integer counts;
     # a constant side (one 1 or one 0, at an end) has no correlation
-    m, head, tail = n - 1, ones - int(arr[-1]), ones - int(arr[0])
-    both = int(np.count_nonzero(arr[1:] & arr[:-1]))
     spread = head * (m - head) * tail * (m - tail)
     lag1_z = (m * both - head * tail) / math.sqrt(spread) * math.sqrt(m) if spread else math.inf
 

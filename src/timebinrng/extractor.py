@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -486,7 +487,11 @@ class StreamingMerger:
         if counts is None:
             counts = [np.size(win) for win in chunks]
             chunks = [np.packbits(as_bit_array(win)) for win in chunks]
-        elif len(counts) != len(chunks) or not all(
+        try:  # numpy integers become ints, which join_packed's carry needs
+            counts = [operator.index(c) for c in counts]
+        except TypeError:
+            raise DomainError(f"window counts must be integers, got {counts!r}") from None
+        if len(counts) != len(chunks) or not all(
             (p.dtype, p.ndim) == (np.uint8, 1) and 0 <= c <= 8 * p.size
             for p, c in zip(chunks, counts)
         ):

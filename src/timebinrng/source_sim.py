@@ -337,6 +337,8 @@ def iter_simulate(
         raise DomainError(f"n_windows must be >= 0, got {n_windows}")
     if chunk_windows < 1:
         raise DomainError(f"chunk_windows must be >= 1, got {chunk_windows}")
+    if seed < 0 or channel_id < 0:
+        raise DomainError(f"seed and channel_id must be >= 0, got {seed} and {channel_id}")
     check_finite("t0", t0)
     seeds = np.random.SeedSequence([seed, channel_id])
     slots = []  # per slice: generator and block buffers, reused by the same slice of every chunk

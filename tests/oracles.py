@@ -7,13 +7,15 @@ references: the afterpulse reference, a per-candidate loop that keeps
 numpy only for array access, and the whole-simulator reference, which
 evaluates p(t) at every window with the library's own expression; and
 the uniformity-deviation reference, the dense whole-matrix numpy
-expressions that the library now evaluates a slice of rows at a time.
+expressions that the library now evaluates a slice of rows at a time;
+and the sanity reference, which keeps numpy for its two lag-1 passes.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+from collections import Counter
 from itertools import combinations as iter_combinations
 
 import numpy as np
@@ -113,6 +115,61 @@ def uniformity_deviations_reference(counts):
     with np.errstate(divide="ignore", invalid="ignore"):
         ind_z = np.where(expected >= 10, np.abs(counts - expected) / np.sqrt(expected), 0.0)
     return float(sym_z.max()), float(ind_z.max())
+
+
+def block_counts_reference(windows, n):
+    """(pattern counts, pair counts) of a 0/1 window sequence, block by
+    block: every full n-window block's MSB-first value counts once in an
+    int64 array, and every disjoint consecutive pair (x, y) of blocks once
+    in a Counter; a trailing partial block and an odd last block form no
+    pair."""
+    patterns = []
+    for start in range(0, len(windows) - n + 1, n):
+        value = 0
+        for bit in windows[start : start + n]:
+            value = 2 * value + int(bit)
+        patterns.append(value)
+    pattern_counts = np.zeros(1 << n, dtype=np.int64)
+    for x in patterns:
+        pattern_counts[x] += 1
+    return pattern_counts, Counter(zip(patterns[0::2], patterns[1::2]))
+
+
+def sanity_reference(bits):
+    """(monobit, runs, lag1) z-scores of a 0/1 array, the runs counted
+    directly as one plus the number of neighbours that differ, and the
+    lag-1 Pearson correlation taken from exact integer counts."""
+    n = len(bits)
+    ones = int(np.count_nonzero(bits))
+    zeros = n - ones
+    monobit_z = (2.0 * ones - n) / math.sqrt(n)
+    if ones == 0 or zeros == 0:
+        runs_z = math.inf
+    else:
+        runs = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+        expected = 1.0 + 2.0 * ones * zeros / n
+        variance = (expected - 1.0) * (expected - 2.0) / (n - 1.0)
+        runs_z = (runs - expected) / math.sqrt(variance)
+    m, head, tail = n - 1, ones - int(bits[-1]), ones - int(bits[0])
+    both = int(np.count_nonzero(bits[1:] & bits[:-1]))
+    spread = head * (m - head) * tail * (m - tail)
+    lag1_z = (m * both - head * tail) / math.sqrt(spread) * math.sqrt(m) if spread else math.inf
+    return monobit_z, runs_z, lag1_z
+
+
+def event_probs_reference(p, taps, n):
+    """Probability that a block's lone avalanche sits in window i = 1..n:
+    (1-p)^(i-1) * p, times 1 - p - taps[j-1] for each of the n - i quiet
+    gates after it, multiplied in that order."""
+    q = 1.0 - p
+    padded = tuple(float(t) for t in taps) + (0.0,) * max(0, n - 1 - len(taps))
+    probs = []
+    for i in range(1, n + 1):
+        prob = q ** (i - 1) * p
+        for j in range(1, n - i + 1):
+            prob *= q - padded[j - 1]
+        probs.append(prob)
+    return tuple(probs)
 
 
 def crossing_reference(n, p):

@@ -23,7 +23,13 @@ from timebinrng import (
 )
 from timebinrng import analysis, streamio
 
-from oracles import subblock_max_z_reference, uniformity_deviations_reference
+from oracles import (
+    block_counts_reference,
+    event_probs_reference,
+    sanity_reference,
+    subblock_max_z_reference,
+    uniformity_deviations_reference,
+)
 
 # frozen against a 60-digit Decimal evaluation of the event probabilities
 DEFICIT_TAP_43E4 = 1.0014767433492367e-07
@@ -56,6 +62,18 @@ class TestMinEntropy:
         rep = min_entropy(bits_from_string("100001"), 3)
         assert rep.histogram[0b100] == 1
         assert rep.histogram[0b001] == 1
+
+    @pytest.mark.parametrize("word_bits", range(1, 17))
+    def test_histogram_matches_block_oracle(self, word_bits):
+        # a partial tail word, and constant words at either end
+        rng = np.random.default_rng(400 + word_bits)
+        bits = np.concatenate((np.zeros(word_bits, np.uint8), rng.random(60 * word_bits) < 0.3,
+                               np.ones(2 * word_bits - 1, np.uint8))).astype(np.uint8)
+        rep = min_entropy(bits, word_bits)
+        reference = block_counts_reference(bits, word_bits)[0]
+        assert rep.histogram.dtype == np.int64
+        assert (rep.histogram == reference).all()
+        assert rep.word_count == bits.size // word_bits == reference.sum()
 
     def test_never_exceeds_shannon_of_histogram(self):
         rng = np.random.default_rng(0)
@@ -208,6 +226,48 @@ class TestUniformityMatrix:
             tracemalloc.stop()
         assert peak <= rep.counts.nbytes + (32 << 20)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_counts_match_block_oracle(self, n):
+        # an odd block count with a partial tail, an even one without, constant
+        # streams, and a single odd bit in the first or the odd last block
+        rng = np.random.default_rng(500 + n)
+        odd = n * 41
+        single_first = np.zeros(odd, np.uint8)
+        single_first[0] = 1
+        single_last = np.ones(odd, np.uint8)
+        single_last[-1] = 0
+        streams = [
+            (rng.random(odd + n - 1) < 0.4).astype(np.uint8),
+            (rng.random(n * 40) < 0.6).astype(np.uint8),
+            np.zeros(odd + 1, np.uint8),
+            np.ones(odd + n - 1, np.uint8),
+            single_first,
+            single_last,
+        ]
+        if n == 12:  # a 4^12-cell report takes ~0.6 s
+            streams = [streams[0], single_last]
+        for windows in streams:
+            rep = uniformity_matrix(DetectionStream(windows), n)
+            pattern_counts, pairs = block_counts_reference(windows, n)
+            assert rep.pattern_counts.dtype == np.int64
+            assert (rep.pattern_counts == pattern_counts).all()
+            cells = zip(*np.nonzero(rep.counts))
+            assert {(int(x), int(y)): int(rep.counts[x, y]) for x, y in cells} == pairs
+            assert rep.pair_count == sum(pairs.values()) == windows.size // n // 2
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_pair_words_cost_under_3_bytes_per_window(self, n):
+        # the block patterns, their int64 pairs and joint indices once lived
+        # beside counts: 7.0 B/window at n = 2 and 3.5 at n = 4
+        windows = (np.random.default_rng(302).random(1 << 22) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            rep = uniformity_matrix(DetectionStream(windows), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rep.counts.nbytes + 3 * windows.size
+
     def test_passed_is_the_5_5_4_sigma_rule(self):
         # pair-count matrices, each failing one bound alone, laid out as
         # streams of disjoint consecutive 4-window block pairs
@@ -270,6 +330,15 @@ class TestAfterpulseEntropy:
             math.log2(6), abs=1e-12
         )
 
+    def test_event_probs_match_the_product_loop(self):
+        rng = np.random.default_rng(600)
+        for _ in range(2000):
+            n = int(rng.integers(2, 21))
+            p = float(rng.uniform(1e-6, 1.0))
+            taps = (rng.random(int(rng.integers(0, 7))) * (1.0 - p)).tolist()
+            rep = afterpulse_entropy(p, taps, n, 1)
+            assert rep.event_probs == event_probs_reference(p, taps, n)
+
     def test_only_single_avalanche_blocks_supported(self):
         with pytest.raises(UnsupportedCaseError):
             afterpulse_entropy(0.5, [0.01], 4, 2)
@@ -320,6 +389,25 @@ class TestSanity:
         rep = sanity_tests(bits)
         assert rep.lag1_z == math.inf
         assert not rep.passed
+
+    def test_z_scores_match_direct_run_count(self):
+        rng = np.random.default_rng(206)
+        streams = [
+            (rng.random(20_001) < 0.5).astype(np.uint8),
+            (np.cumsum(rng.random(20_000) < 0.3) % 2).astype(np.uint8),
+            np.tile([0, 1], 10_000).astype(np.uint8),
+            np.zeros(10_000, np.uint8),
+            np.ones(10_001, np.uint8),
+        ]
+        for value in (0, 1):
+            for where in (0, -1):
+                bits = np.full(10_000, 1 - value, dtype=np.uint8)
+                bits[where] = value
+                streams.append(bits)
+        for bits in streams:
+            rep = sanity_tests(bits)
+            assert rep.n_bits == bits.size
+            assert (rep.monobit_z, rep.runs_z, rep.lag1_z) == sanity_reference(bits)
 
     def test_lag1_matches_pearson(self):
         rng = np.random.default_rng(204)

@@ -23,6 +23,7 @@ from timebinrng import (
     afterpulse_entropy,
     extract,
     iter_simulate,
+    simulate,
     streamio,
     time_average_binary_rate,
     uniformity_matrix,
@@ -117,6 +118,14 @@ class TestLibrary:
         with pytest.raises(DomainError, match="chunk_windows"):
             next(iter_simulate(SourceModel(dark_rate=0.1), 100, seed=1, chunk_windows=0))
 
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1, "channel_id": -1}])
+    def test_negative_seed_or_channel(self, kwargs):
+        model = SourceModel(dark_rate=0.1)
+        with pytest.raises(DomainError, match="seed and channel_id"):
+            next(iter_simulate(model, 100, **kwargs))
+        with pytest.raises(DomainError, match="seed and channel_id"):
+            simulate(model, 100, **kwargs)
+
     def test_header_with_period_zero(self, tmp_path):
         path = tmp_path / "s.tbd1"
         streamio.write_stream(path, DetectionStream(np.ones(16, dtype=np.uint8)))
@@ -163,6 +172,20 @@ class TestCli:
         assert code == 2
         assert "equal window counts" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--scenario", "a", "--windows", "100", "--format", "tbd1"],
+        ["simulate", "--scenario", "b", "--windows", "100", "--format", "ascii"],
+        ["bench", "--scenario", "a", "--windows", "100"],
+    ], ids=["simulate-tbd1", "simulate-ascii", "bench"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", str(tmp_path / "s.out")] if argv[0] == "simulate" else []
+        code, out_text, err = run(capsys, *argv, "--seed", "-1", *out)
+        assert code == 2
+        assert err.startswith("error: ") and "seed" in err
+        assert out_text == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_profile_key(self, capsys):
         code, out_text, err = run(capsys, "efficiency", "-N", "4",

@@ -476,6 +476,33 @@ class TestPackedFeed:
             expected.data, expected.total_bits, expected.stats
         )
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    @pytest.mark.parametrize("policy", ["round-robin-block", "per-channel"])
+    def test_numpy_integer_counts_match_int_counts(self, dtype, policy):
+        # ragged feeds carry partial 17-window blocks, and partial bytes, as
+        # (value, width) from one feed to the next
+        rng = np.random.default_rng(71)
+        sizes = [500, 501, 37, 1000]
+        pieces = np.split((rng.random(sum(sizes)) < 0.5).astype(np.uint8), np.cumsum(sizes)[:-1])
+        outs = []
+        for kind in (int, dtype):
+            merger = StreamingMerger(17, 2, policy)
+            for piece in pieces:
+                merger.feed([np.packbits(piece)] * 2, [kind(piece.size)] * 2)
+            out = merger.finish()
+            outs.append((out.data, out.total_bits, out.stats))
+        assert outs[0] == outs[1]
+        assert outs[0][2].windows_seen == 2 * sum(sizes)
+
+    @pytest.mark.parametrize("count", [9.0, "9", None])
+    def test_non_integer_count_is_refused_before_any_state_changes(self, count):
+        merger = StreamingMerger(4)
+        merger.feed([np.array([0b1010_0000], np.uint8)], [3])
+        before = (vars(merger.stats).copy(), tuple(merger._remainders))
+        with pytest.raises(DomainError, match="integers"):
+            merger.feed([np.array([0b0110_1100, 0b1000_0000], np.uint8)], [count])
+        assert (vars(merger.stats), tuple(merger._remainders)) == before
+
 
 class TestLargeBlocks:
     """Every block length's subblock edges, and block lengths above 16, which
