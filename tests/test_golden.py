@@ -123,6 +123,8 @@ CLI_BYTES = {
     "single-ascii": "df912c83a0f3401ca361a6006bf1158417ff86c53a04e3ede2af0ecb121ccb0a",
     "single-ascii-out": "ecd43f122c765ad8f0f88a093eb691ac44369896ba870ba3b5b3436f83fcdb4a",
     "single-tbd1": "df912c83a0f3401ca361a6006bf1158417ff86c53a04e3ede2af0ecb121ccb0a",
+    "triple-per-channel": "851b50c4a132166be949a647b6a895bf5737cc5b7c1159ec8997101aa10cd6f0",
+    "triple-per-channel-ascii": "9ac4f3ad1e4f319d710870132c0757232f819081bf7fdf1c45eab2878788d1bb",
 }
 
 CLI_STATS = {  # sidecar "stats" of the packed outputs
@@ -134,6 +136,8 @@ CLI_STATS = {  # sidecar "stats" of the packed outputs
                          fragments_discarded_alpha0=0, bits_emitted=81386),
     "single-tbd1": dict(windows_seen=200003, blocks_scanned=50000, blocks_discarded_k0_kn=6238,
                         fragments_discarded_alpha0=0, bits_emitted=81386),
+    "triple-per-channel": dict(windows_seen=600009, blocks_scanned=35292, blocks_discarded_k0_kn=1,
+                               fragments_discarded_alpha0=0, bits_emitted=450389),
 }
 
 
@@ -197,6 +201,11 @@ CLI_CASES = {
     "single-ascii-out": (["b.ch0.tbd1"], ["-N", 17, "--format", "ascii"]),
     "pair-round-robin": (["b.ch0.tbd1", "b.ch1.tbd1"], ["-N", 17]),
     "pair-per-channel": (["b.ch0.tbd1", "b.ch1.txt"], ["-N", 64, "--merge", "per-channel"]),
+    # three channels: two spilled behind the first
+    "triple-per-channel": (["b.ch1.tbd1", "b.ch0.txt", "b.ch0.tbd1"],
+                           ["-N", 17, "--merge", "per-channel"]),
+    "triple-per-channel-ascii": (["b.ch1.tbd1", "b.ch0.txt", "b.ch0.tbd1"],
+                                 ["-N", 17, "--merge", "per-channel", "--format", "ascii"]),
 }
 
 
