@@ -20,6 +20,8 @@ input-format errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
 import math
@@ -225,11 +227,8 @@ def _open_input(path, chunk_windows: int):
     if streamio.packed_bits_meta(path) is not None:
         raise DomainError(f"{path}: extract needs a window stream (TIMEBIN1 or ascii windows);"
                           " got a packed bit file")
-    windows = streamio.read_ascii_bits(path)
-    count, packed = windows.size, np.packbits(windows)
-    chunks = ((packed[i // 8 : (i + chunk_windows) // 8], min(chunk_windows, count - i))
-              for i in range(0, count, chunk_windows))
-    return count, None, chunks
+    count = streamio.count_ascii_bits(path)
+    return count, None, streamio.iter_ascii_payload(path, chunk_windows)
 
 
 def _cmd_extract(args, argv: list[str]) -> int:
@@ -244,26 +243,30 @@ def _cmd_extract(args, argv: list[str]) -> int:
             "round-robin-block merging needs equal window counts per channel; "
             f"got {list(counts)}"
         )
-    merger = StreamingMerger(args.block_len, len(inputs), args.merge)
-    for chunks in itertools.zip_longest(*iters, fillvalue=(np.zeros(0, dtype=np.uint8), 0)):
-        merger.feed(*zip(*chunks))
-    result = merger.finish()
-
-    streamio.write_bit_output(
-        args.out,
-        result,
-        fmt=args.format,
-        extra={
+    ascii_out = args.format == "ascii"
+    # the output is written as it is packed; spilled channels wait beside it
+    with streamio.atomic_open(args.out) as fh:
+        sink = streamio.AsciiSink(fh) if ascii_out else fh
+        merger = StreamingMerger(args.block_len, len(inputs), args.merge, sink,
+                                 spill_dir=Path(args.out).parent)
+        with contextlib.closing(merger):
+            for chunks in itertools.zip_longest(*iters, fillvalue=(np.zeros(0, np.uint8), 0)):
+                merger.feed(*zip(*chunks))
+            merger.finish()
+        stats = merger.stats
+        if ascii_out:  # the codes of the last byte's padding bits go
+            fh.truncate(stats.bits_emitted)
+    if not ascii_out:
+        streamio.write_bits_meta(args.out, stats.bits_emitted, {
+            "stats": asdict(stats),
             "command": "extract",
             "version": __version__,
             "block_len": args.block_len,
             "merge_policy": args.merge if len(inputs) > 1 else None,
             "inputs": list(inputs),
-        },
-    )
+        })
     _write_manifest(args.out, argv, "extract", [args.out])
 
-    stats = result.stats
     windows_per_channel = max(counts)
     print(f"channels = {len(inputs)}")
     for name, value in asdict(stats).items():
@@ -431,7 +434,9 @@ def _cmd_bench(args, argv: list[str]) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="timebinrng",
         description="Time-bin block randomness extraction toolkit",

@@ -26,9 +26,12 @@ brute-force encoder in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import operator
+import sys
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -101,6 +104,7 @@ class BitOutput:
 # bit-level helpers
 
 _BATCH = 1 << 14  # queued fragments that start a packing pass
+_LITTLE = sys.byteorder == "little"  # native words are byte-swapped to big-endian
 
 
 def as_bit_array(windows) -> np.ndarray:
@@ -139,6 +143,25 @@ def join_packed(carry: tuple[int, int], payload: np.ndarray, usable: int, total:
     return row[: -(-usable // 8)], (tail & ((1 << (total - usable)) - 1), total - usable)
 
 
+class _Workspace:
+    """Named arrays kept from one call to the next, so that a chunk-sized
+    temporary is allocated once, not on every feed: ``work(name, size,
+    dtype, room)`` is the first ``size`` entries of an array that grows,
+    to ``room`` entries or more, only when it is too short."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, size: int, dtype, room: int = 0) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.size < size:
+            arr = self._arrays[name] = np.empty(max(size, room), dtype)
+        return arr[:size]
+
+    def clear(self) -> None:
+        self._arrays.clear()
+
+
 def unpack_bits(data: bytes, total_bits: int) -> np.ndarray:
     buf = np.frombuffer(data, dtype=np.uint8)
     if total_bits > 8 * buf.size:
@@ -158,10 +181,16 @@ class BitPacker:
     word's last fragment.  Calls are queued and packed together once
     ``_BATCH`` fragments wait, or when the bits are read, since each
     pass costs tens of microseconds however few fragments it packs.
+
+    Each pass hands its whole words, as one big-endian word array, to
+    ``sink.write`` and keeps only the pending bits, which :meth:`close`
+    writes; with no sink the words stay for :meth:`getvalue`.
     """
 
-    def __init__(self):
-        self._full: list[bytes] = []
+    def __init__(self, sink=None, work=None):
+        self._work = work or _Workspace()  # see _Workspace
+        self._full: list[np.ndarray] = []
+        self._write = self._full.append if sink is None else sink.write
         self._carry = np.uint64(0)  # the bit_length % 64 pending bits, left-aligned
         self._bits = 0  # packed so far
         self._queue: list[tuple[np.ndarray, np.ndarray]] = []
@@ -187,46 +216,59 @@ class BitPacker:
         if not self._queued:
             self._queue = []
             return
-        values, lengths = (np.concatenate(column) for column in zip(*self._queue))
+        work, size = self._work, self._queued
+        queued_values, queued_lengths = zip(*self._queue)
+        values = np.concatenate(queued_values, out=work("values", size, np.uint64))
+        lengths = np.concatenate(queued_lengths, out=work("lengths", size, np.int64))
         self._queue, self._queued = [], 0
         pending = self._bits % 64
-        ends = np.cumsum(lengths) + pending
-        starts = ends - lengths
-        offset = (starts & 63).view(np.uint64)
-        values <<= (64 - lengths).view(np.uint64)  # left-aligned in a word
+        ends = np.cumsum(lengths, out=work("ends", size, np.int64))
+        ends += pending
+        starts = np.subtract(ends, lengths, out=work("starts", size, np.int64))
+        offset = np.bitwise_and(starts, 63, out=work("offset", size, np.int64)).view(np.uint64)
+        values <<= np.subtract(64, lengths, out=lengths).view(np.uint64)  # left-aligned in a word
         # no fragment outgrows a word, so every word up to the last start
         # holds a start, and only the last fragment to start in a word can
         # spill into the next one (two shifts: at offset 0 one would be 64)
-        word = starts >> 6
-        last = np.flatnonzero(np.append(word[1:] != word[:-1], True))
-        spill = (values[last] << np.uint64(1)) << (63 - offset[last])
+        word = np.right_shift(starts, 6, out=starts)
+        closes = work("closes", size, np.bool_)
+        np.not_equal(word[1:], word[:-1], out=closes[:-1])
+        closes[-1] = True
+        last = np.flatnonzero(closes)
+        spill = values.take(last, out=work("spill", last.size, np.uint64), mode="clip")
+        spill <<= np.uint64(1)
+        spill <<= np.subtract(np.uint64(63), offset.take(last, mode="clip"))
         # at their offsets a word's pieces are disjoint, so their sum is
         # their OR: each word is a difference of running sums, exact
         # modulo 2^64
         values >>= offset
-        sums = np.cumsum(values, out=values)[last]
+        sums = np.cumsum(values, out=values).take(last, mode="clip")
         words = np.zeros(last.size + 1, dtype=np.uint64)
         words[:-1] = sums
         words[1:-1] -= sums[:-1]
         words[0] |= self._carry
         words[1:] |= spill
         total = int(ends[-1])
-        self._full.append(words[: total >> 6].astype(">u8").tobytes())
         self._carry = words[total >> 6]
+        full = words[: total >> 6]
+        if _LITTLE:
+            full.byteswap(inplace=True)  # big-endian words, in place
+        self._write(full)
         self._bits += total - pending
 
-    def extend(self, other: "BitPacker") -> None:
-        """Append everything ``other`` holds, one word per fragment."""
-        data = other.getvalue()
-        words = np.frombuffer(data + bytes(-len(data) % 8), dtype=">u8").astype(np.uint64)
-        lengths = np.full(words.size, 64)
-        lengths[-1:] -= -other.bit_length % 64
-        self.add(words >> (64 - lengths).astype(np.uint64), lengths)
+    def _tail(self) -> bytes:
+        """The pending bits' bytes, zero padded."""
+        self._pack()
+        return int(self._carry).to_bytes(8, "big")[: (self._bits % 64 + 7) // 8]
+
+    def close(self) -> None:
+        """Write the pending bits to the sink; nothing may be added after."""
+        self._write(self._tail())
 
     def getvalue(self) -> bytes:
-        self._pack()
-        tail = np.array([self._carry], dtype=">u8").tobytes()[: (self._bits % 64 + 7) // 8]
-        return b"".join(self._full) + tail
+        """All bytes of a packer without a sink."""
+        tail = self._tail()
+        return b"".join([*self._full, tail])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +281,7 @@ _POW2 = np.array([0] + [1 << e for e in range(64)], dtype=np.uint64)
 _LOW = np.maximum(_POW2, 1) - np.uint64(1)  # _LOW[e] = 2^(e-1) - 1, masks f mod 2^(e-1)
 _SPAN = 16  # most windows per folded table index
 _INTERLEAVE = 1 << 20  # windows per channel interleaved at a time
+_SPILL_BLOCK = 1 << 18  # bytes of a spilled channel appended at a time, whole words
 
 
 def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
@@ -360,17 +403,28 @@ class _BlockCodec:
             count = (count[:, None] + discards).reshape(-1, 2)
         return value, width.astype(np.uint8), count.view(np.uint16).ravel()
 
-    def _encode_words(self, words: np.ndarray):
-        """(values, widths) of left-aligned block words by table sums."""
-        block_bytes = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    def _encode_words(self, words: np.ndarray, work=None, room: int = 0):
+        """(values, widths) of left-aligned block words by table sums; the
+        byte-column loop runs in ``work``'s arrays (see :class:`_Workspace`),
+        at least ``room`` long."""
+        work = work or _Workspace()
+        size = words.size
+        big_endian = work("big_endian", size, ">u8", room)
+        big_endian[...] = words
+        block_bytes = big_endian.view(np.uint8).reshape(-1, 8)
+        byte, index = work("byte", size, np.intp, room), work("index", size, np.intp, room)
+        term, pop = work("term", size, np.uint64, room), work("pop", size, np.intp, room)
         last = self._tables.shape[0] - 1
-        byte = block_bytes[:, last].astype(np.intp)
-        f = self._tables[last][byte * self._stride]  # no later bytes: k_after = 0
-        k = _POPCOUNT[byte]
+        byte[...] = block_bytes[:, last]
+        np.multiply(byte, self._stride, out=index)  # no later bytes: k_after = 0
+        f = self._tables[last].take(index, out=work("f", size, np.uint64, room), mode="clip")
+        k = _POPCOUNT.take(byte, out=work("k", size, np.intp, room), mode="clip")
         for c in range(last - 1, -1, -1):
-            byte = block_bytes[:, c].astype(np.intp)
-            f += self._tables[c][byte * self._stride + k]
-            k += _POPCOUNT[byte]
+            byte[...] = block_bytes[:, c]
+            np.multiply(byte, self._stride, out=index)
+            index += k
+            f += self._tables[c].take(index, out=term, mode="clip")
+            k += _POPCOUNT.take(byte, out=pop, mode="clip")
         # width = bit_length(f XOR C(n, k)) - 1, the bit length read from the
         # float exponent, which rounding may carry one too high
         x = f ^ self._cnk[k]
@@ -406,7 +460,7 @@ class _BlockCodec:
             index |= blocks[j::per] << shifts[j]
         return index.astype(np.intp)
 
-    def encode(self, rows, row_blocks: int):
+    def encode(self, rows, row_blocks: int, work=None):
         """Encode the ``row_blocks`` blocks that lead each uint8 row of
         ceil(row_blocks * n / 8) bytes, MSB first; later bits are ignored.
         One row is a 1-D array, equal rows (one per channel) a 2-D array or a
@@ -415,6 +469,7 @@ class _BlockCodec:
         Returns (values, widths, stats): fragments of 0..64 bits in
         block order, each covering one or more blocks; discarded blocks
         add no bits.  ``stats.windows_seen`` is left to the caller.
+        ``work`` keeps the temporaries of n > 16 from one call to the next.
         """
         n, per = self.n, self._per
         packed = [rows] if isinstance(rows, np.ndarray) and rows.ndim == 1 else rows
@@ -424,7 +479,7 @@ class _BlockCodec:
             live = (words != 0) & (words != self._mask)  # k = 0 and k = n emit nothing
             if not live.all():
                 words = words[live]
-            values, widths = self._encode_words(words)
+            values, widths = self._encode_words(words, work, n_blocks)
             k_discards = n_blocks - words.size
             alpha0 = int(np.count_nonzero(widths == 0))
         else:
@@ -466,17 +521,28 @@ class StreamingMerger:
     their blocks, whole bytes of at least ``_INTERLEAVE`` windows per channel
     at a time; ``per-channel`` concatenates whole channels in order.  With
     one channel both policies give the plain block-order output.
+
+    Output goes to ``sink.write`` as it is packed (see :class:`BitPacker`),
+    or, with no sink, is kept for :meth:`finish` to return.  Per-channel
+    merging writes channel 0 straight through and spills the others, to
+    anonymous temp files in ``spill_dir`` when there is a sink and to
+    memory when not, until :meth:`finish` appends them.
     """
 
-    def __init__(self, block_len: int, n_channels: int = 1, policy: str = "round-robin-block"):
+    def __init__(self, block_len: int, n_channels: int = 1, policy: str = "round-robin-block",
+                 sink=None, spill_dir=None):
         if policy not in MERGE_POLICIES:
             raise DomainError(f"unknown merge policy {policy!r}")
         if n_channels < 1:
             raise DomainError("need at least one channel")
         self._codec = _codec(block_len)
         self._remainders = ((0, 0),) * n_channels  # (value, bit count) of a partial block
-        # per-channel merging keeps one packer per channel until finish()
-        self._packers = [BitPacker() for _ in range(n_channels if policy == "per-channel" else 1)]
+        spills = n_channels - 1 if policy == "per-channel" else 0
+        self._spills = [io.BytesIO() if sink is None else tempfile.TemporaryFile(dir=spill_dir)
+                        for _ in range(spills)]
+        self._work = _Workspace()  # the chunk-sized temporaries, until finish()
+        self._packers = [BitPacker(out, self._work) for out in (sink, *self._spills)]
+        self._sink = sink
         self.stats = ExtractStats()
 
     def feed(self, chunks: Sequence[np.ndarray], counts: Sequence[int] | None = None) -> None:
@@ -513,16 +579,39 @@ class StreamingMerger:
                     for lo in range(0, rows[0].size, step)]
             packers = itertools.repeat(packers[0])
         for packer, job in zip(packers, jobs):
-            values, widths, stats = self._codec.encode(*job)
+            values, widths, stats = self._codec.encode(*job, self._work)
             self.stats.add(stats)
             packer.add(*_premerge(values, widths, self._codec.levels))
 
-    def finish(self) -> BitOutput:
-        """Close the stream; pending partial blocks are dropped."""
+    def finish(self) -> BitOutput | None:
+        """Close the stream; pending partial blocks are dropped.  Returns the
+        output, or None when it went to the sink."""
         packer, *rest = self._packers
-        for p in rest:
-            packer.extend(p)
-        return BitOutput(packer.getvalue(), packer.bit_length, self.stats)
+        for spilled, spill in zip(rest, self._spills):
+            # every spilled word, the last one partial, is a fragment
+            spilled.close()
+            bits = spilled.bit_length
+            spill.seek(0)
+            for start in range(0, bits, 8 * _SPILL_BLOCK):
+                block = spill.read(_SPILL_BLOCK)
+                words = np.frombuffer(block + bytes(-len(block) % 8), ">u8").astype(np.uint64)
+                lengths = np.full(words.size, 64, dtype=np.int64)
+                lengths[-1] = min(8 * _SPILL_BLOCK, bits - start) - 64 * (words.size - 1)
+                packer.add(words >> (64 - lengths).view(np.uint64), lengths)
+        if self._sink is None:
+            out = BitOutput(packer.getvalue(), packer.bit_length, self.stats)
+        else:
+            packer.close()
+            out = None
+        self.close()
+        return out
+
+    def close(self) -> None:
+        """Drop the spilled channels and the kept arrays; :meth:`finish`
+        calls this itself."""
+        for spill in self._spills:
+            spill.close()
+        self._work.clear()
 
 
 class StreamingExtractor(StreamingMerger):

@@ -21,6 +21,7 @@ into place, so an output appears whole or not at all.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -41,6 +42,7 @@ _HEADER = struct.Struct("<8sQQQ")
 HEADER_SIZE = _HEADER.size
 
 _WS_CODES = {ord(" "), ord("\t"), ord("\n"), ord("\r")}
+_ASCII_READ = 1 << 16  # bytes of ASCII text parsed, or of packed bits spelled out, at a time
 
 
 @contextmanager
@@ -220,20 +222,58 @@ def is_tbd1(path) -> bool:
 # ASCII '0'/'1' files
 
 
-def parse_ascii_bits(data: bytes, source: str = "<data>") -> np.ndarray:
-    """Parse '0'/'1' text into a 0/1 array; whitespace is skipped."""
+def parse_ascii_bits(data: bytes, source: str = "<data>", base: int = 0) -> np.ndarray:
+    """Parse '0'/'1' text into a 0/1 array; whitespace is skipped.  An
+    error's offset counts from ``base``, where ``data`` starts in its file."""
     raw = np.frombuffer(data, dtype=np.uint8)
     is_bit = (raw == ord("0")) | (raw == ord("1"))
     is_ws = np.isin(raw, list(_WS_CODES))
     bad = ~(is_bit | is_ws)
     if bad.any():
         at = int(np.nonzero(bad)[0][0])
-        raise StreamFormatError(f"{source}: invalid character {chr(raw[at])!r}", offset=at)
+        raise StreamFormatError(f"{source}: invalid character {chr(raw[at])!r}", offset=base + at)
     return (raw[is_bit] == ord("1")).astype(np.uint8)
 
 
 def read_ascii_bits(path) -> np.ndarray:
     return parse_ascii_bits(Path(path).read_bytes(), source=str(path))
+
+
+def _ascii_blocks(path) -> Iterator[np.ndarray]:
+    """The 0/1 arrays of an ASCII file's consecutive ``_ASCII_READ``-byte blocks."""
+    with open(path, "rb") as fh:
+        for base in itertools.count(0, _ASCII_READ):
+            data = fh.read(_ASCII_READ)
+            if not data:
+                return
+            yield parse_ascii_bits(data, str(path), base)
+
+
+def count_ascii_bits(path) -> int:
+    """The '0'/'1' characters of an ASCII file, every byte checked."""
+    return sum(bits.size for bits in _ascii_blocks(path))
+
+
+def iter_ascii_payload(path, chunk_windows: int = 1 << 24) -> Iterator[tuple[np.ndarray, int]]:
+    """The windows of an ASCII file as :func:`iter_stream_payload` yields a
+    TIMEBIN1 stream's: packed chunks of exactly ``chunk_windows``, the last
+    one fewer, read a block at a time."""
+    if chunk_windows <= 0 or chunk_windows % 8:
+        raise StreamFormatError("chunk_windows must be a positive multiple of 8")
+    held: list[np.ndarray] = []
+    size = 0
+    for bits in _ascii_blocks(path):
+        held.append(bits)
+        size += bits.size
+        if size >= chunk_windows:
+            joined = np.concatenate(held)
+            whole = size - size % chunk_windows
+            packed = np.packbits(joined[:whole])
+            for lo in range(0, whole // 8, chunk_windows // 8):
+                yield packed[lo : lo + chunk_windows // 8], chunk_windows
+            held, size = [joined[whole:]], size - whole
+    if size:
+        yield np.packbits(np.concatenate(held)), size
 
 
 def ascii_codes(bits) -> np.ndarray:
@@ -246,17 +286,36 @@ def write_ascii_bits(path, bits) -> None:
         fh.write(ascii_codes(bits))
 
 
+class AsciiSink:
+    """Writes MSB-first packed bytes to ``fh`` as '0'/'1' codes, one per
+    bit, ``_ASCII_READ`` bytes at a time; the last byte's padding is
+    written too, so the caller truncates the file to its bit count."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data) -> None:
+        packed = np.frombuffer(data, dtype=np.uint8)
+        for lo in range(0, packed.size, _ASCII_READ):
+            codes = np.unpackbits(packed[lo : lo + _ASCII_READ])
+            codes += np.uint8(ord("0"))
+            self._fh.write(codes)
+
+
 # ---------------------------------------------------------------------------
 # extracted-bit files
 
 
 def write_packed_bits(path, data: bytes, total_bits: int, extra: dict | None = None) -> None:
-    """Write MSB-first packed bytes plus a sidecar with their exact bit
-    count and the ``extra`` keys."""
+    """Write MSB-first packed bytes plus their sidecar (see :func:`write_bits_meta`)."""
     with atomic_open(path) as fh:
         fh.write(data)
-    meta = {"format": PACKED_BITS, "total_bits": total_bits}
-    write_meta(path, {**meta, **(extra or {})})
+    write_bits_meta(path, total_bits, extra)
+
+
+def write_bits_meta(path, total_bits: int, extra: dict | None = None) -> None:
+    """The sidecar of a packed bit file: its exact bit count and the ``extra`` keys."""
+    write_meta(path, {"format": PACKED_BITS, "total_bits": total_bits, **(extra or {})})
 
 
 def write_bit_output(path, out: BitOutput, fmt: str = "packed", extra: dict | None = None) -> None:

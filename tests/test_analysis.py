@@ -75,6 +75,29 @@ class TestMinEntropy:
         assert (rep.histogram == reference).all()
         assert rep.word_count == bits.size // word_bits == reference.sum()
 
+    @pytest.mark.parametrize("word_bits", [1, 3, 8, 16])
+    def test_histogram_counted_in_slices(self, word_bits, monkeypatch):
+        # 7 words a slice: a ragged last slice, and one word alone at 60 words
+        rng = np.random.default_rng(410 + word_bits)
+        bits = (rng.random(60 * word_bits + word_bits - 1) < 0.4).astype(np.uint8)
+        whole = min_entropy(bits, word_bits)
+        monkeypatch.setattr(analysis, "_SLICE", 7)
+        rep = min_entropy(bits, word_bits)
+        assert (rep.histogram == block_counts_reference(bits, word_bits)[0]).all()
+        assert (rep.histogram == whole.histogram).all() and rep.min_entropy == whole.min_entropy
+
+    def test_single_bit_words_cost_under_1_5_bytes_per_bit(self):
+        # np.bincount's intp copy of one word per bit once held 9 B/bit at d = 1
+        bits = (np.random.default_rng(411).random(1 << 24) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            rep = min_entropy(bits, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.histogram.sum() == bits.size
+        assert peak <= 1.5 * bits.size
+
     def test_never_exceeds_shannon_of_histogram(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

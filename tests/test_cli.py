@@ -2,6 +2,8 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from timebinrng import (
     DetectionStream,
     SourceModel,
+    extractor,
     merge_channels,
     min_entropy,
     sanity_tests,
@@ -252,6 +255,103 @@ class TestExtract:
         assert "--chunk-windows must be a positive multiple of 8" in err
         # no output, sidecar or manifest
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(bits.name)]
+
+
+    def test_bad_character_after_the_first_read_block(self, tmp_path, capsys):
+        # the count pass finds it before any output exists, at its file offset
+        data = bytearray(b"0110\n" * 30_000)
+        at = len(data) - 7
+        data[at] = ord("2")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(streamio.StreamFormatError) as parsed:
+            streamio.parse_ascii_bits(bytes(data))
+        assert parsed.value.offset == at > streamio._ASCII_READ
+        bits = tmp_path / "o.bin"
+        code, _, err = run(capsys, "extract", str(bad), "--chunk-windows", "1024",
+                           "--out", str(bits))
+        assert code == 2
+        assert f"byte offset {at})" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+    @pytest.mark.parametrize("fmt", ["packed", "ascii"])
+    def test_input_shrinking_after_the_first_feed_leaves_nothing(
+        self, tmp_path, capsys, monkeypatch, fmt
+    ):
+        # three per-channel inputs, two of them spilled; the last one loses
+        # its end once the first chunks are fed
+        streams = self._simulate(tmp_path, capsys, scenario="b", windows=40_000)
+        streams.append(tmp_path / "s.ch1.txt")
+        streamio.write_ascii_bits(streams[-1], streamio.read_stream(streams[1]).windows)
+        shrinking = streams[0]
+        data = shrinking.read_bytes()
+        real = streamio.iter_stream_payload
+
+        def payload(path, *args, **kwargs):
+            chunks = real(path, *args, **kwargs)
+            yield next(chunks)
+            if Path(path) == shrinking:
+                shrinking.write_bytes(data[:-10])
+            yield from chunks
+
+        monkeypatch.setattr(streamio, "iter_stream_payload", payload)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, _, err = run(capsys, "extract", *map(str, streams[::-1]), "--merge", "per-channel",
+                           "-N", "17", "--format", fmt, "--chunk-windows", "4096",
+                           "--out", str(tmp_path / "o.bin"))
+        assert code == 2
+        assert f"payload ends early (byte offset {len(data) - 10})" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+class TestExtractMemory:
+    """Extract holds no output-sized buffer: its in-process peak stays flat
+    while the input grows 16x.  Packing passes, spill appends and chunks
+    are made small, so that the small input already fills every buffer
+    whose size they bound."""
+
+    SMALL, LARGE = 1 << 18, 1 << 22  # windows per channel
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("memory")
+        for windows in (self.SMALL, self.LARGE):
+            stream = d / f"b{windows}.tbd1"
+            assert main(["simulate", "--scenario", "b", "--windows", str(windows), "--seed", "3",
+                         "--out", str(stream)]) == 0
+            streamio.write_ascii_bits(d / f"b{windows}.ch1.txt",
+                                      streamio.read_stream(d / f"b{windows}.ch1.tbd1").windows)
+        return d
+
+    CASES = {
+        "round-robin": (["ch0.tbd1", "ch1.tbd1"], ["--merge", "round-robin-block"]),
+        "round-robin-ascii-input": (["ch0.tbd1", "ch1.txt"], ["--merge", "round-robin-block"]),
+        "per-channel": (["ch0.tbd1", "ch1.txt", "ch1.tbd1"], ["--merge", "per-channel"]),
+    }
+
+    @pytest.mark.parametrize("fmt", ["packed", "ascii"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_peak_is_flat_in_input_length(self, inputs, tmp_path, capsys, monkeypatch, case, fmt):
+        names, opts = self.CASES[case]
+        monkeypatch.setattr(extractor, "_BATCH", 1 << 10)
+        monkeypatch.setattr(extractor, "_SPILL_BLOCK", 1 << 13, raising=False)
+
+        def peak(windows):
+            argv = ["extract", *(str(inputs / f"b{windows}.{name}") for name in names), *opts,
+                    "-N", "64", "--format", fmt, "--chunk-windows", str(1 << 14),
+                    "--out", str(tmp_path / "o.bin")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(self.SMALL)  # codec tables and other one-time state
+        small, large = peak(self.SMALL), peak(self.LARGE)
+        assert (tmp_path / "o.bin").stat().st_size > 800_000
+        assert large - small < 1 << 20, (small, large)
 
 
 class TestAnalyze:

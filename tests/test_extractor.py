@@ -1,4 +1,7 @@
+import io
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -308,13 +311,23 @@ class TestPackBits:
             pack_reference([(1, 24), (x, 40), ((1 << 64) - 2, 64)])
         )
 
-    def test_extend_appends_bits(self):
-        first, second = BitPacker(), BitPacker()
-        first.add(np.array([5]), np.array([3]))
-        second.add(np.array([1, (1 << 64) - 1], dtype=np.uint64), np.array([1, 64]))
-        first.extend(second)
-        expected = pack_reference([(5, 3), (1, 1), ((1 << 64) - 1, 64)])
-        assert (first.getvalue(), first.bit_length) == expected
+    @given(wide_fragment_lists, st.data())
+    def test_sink_receives_the_reference_bytes(self, frags, data):
+        # ragged calls, some packed at once: the sink gets whole words as they
+        # are packed, then close() writes the pending bits
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(frags)), max_size=8)))
+        values = np.array([v for v, _ in frags], dtype=np.uint64)
+        lengths = np.array([w for _, w in frags], dtype=np.int64)
+        sink = io.BytesIO()
+        packer = BitPacker(sink)
+        bounds = [0, *cuts, len(frags)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            packer.add(values[lo:hi], lengths[lo:hi])
+            if data.draw(st.booleans()):
+                packer.bit_length  # packs what is queued
+                assert len(sink.getvalue()) == packer.bit_length // 64 * 8
+        packer.close()
+        assert (sink.getvalue(), packer.bit_length) == pack_reference(frags)
 
 
 class TestMergeChannels:
@@ -708,6 +721,33 @@ class TestMergerOracle:
         data_, total_bits, stats = reference_merge(chans, n, policy)
         assert (got.data, got.total_bits) == (data_, total_bits)
         assert vars(got.stats) == stats
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_sink_and_spill_files_match_brute_force(self, data):
+        # output written as it is packed, per-channel spills appended from
+        # temp files a few words at a time
+        n = data.draw(st.sampled_from([2, 4, 5, 16, 17, 40, 64]), "n")
+        n_channels = data.draw(st.integers(1, 3), "channels")
+        policy = data.draw(st.sampled_from(MERGE_POLICIES), "policy")
+        size = data.draw(st.integers(0, 60 * n), "windows per channel")
+        p = data.draw(st.sampled_from([1.0]) | st.floats(0.0, 1.0), "p")
+        cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=4), "cuts"))
+        spill_block = data.draw(st.sampled_from([8, 24, 1 << 18]), "_SPILL_BLOCK")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        chans = [(rng.random(size) < p).astype(np.uint8) for _ in range(n_channels)]
+        sink = io.BytesIO()
+        with tempfile.TemporaryDirectory() as spill_dir:
+            merger = StreamingMerger(n, n_channels, policy, sink, spill_dir)
+            bounds = [0, *cuts, size]
+            with mock.patch.object(extractor, "_SPILL_BLOCK", spill_block):
+                for lo, hi in zip(bounds, bounds[1:]):
+                    merger.feed([w[lo:hi] for w in chans])
+                assert merger.finish() is None
+            assert os.listdir(spill_dir) == []
+        data_, total_bits, stats = reference_merge(chans, n, policy)
+        assert sink.getvalue() == data_
+        assert vars(merger.stats) == stats and stats["bits_emitted"] == total_bits
 
     @pytest.mark.parametrize("policy", MERGE_POLICIES)
     @pytest.mark.parametrize("n", [4, 17, 64])

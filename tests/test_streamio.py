@@ -172,6 +172,36 @@ class TestAscii:
             streamio.parse_ascii_bits(b"0101x01")
         assert err.value.offset == 4
 
+    @pytest.mark.parametrize("read", [1, 5, 64, 1 << 16])
+    @pytest.mark.parametrize("chunk", [8, 24, 1 << 10])
+    def test_payload_chunks_read_a_block_at_a_time(self, tmp_path, monkeypatch, read, chunk):
+        # whitespace anywhere, blocks of any size: chunks of exactly ``chunk``
+        # windows, the last one fewer, whose bits are the whole file's
+        rng = np.random.default_rng(read + chunk)
+        text = rng.choice(np.frombuffer(b"0011 \n", np.uint8), 3001)
+        path = tmp_path / "w.txt"
+        path.write_bytes(text.tobytes())
+        monkeypatch.setattr(streamio, "_ASCII_READ", read)
+        windows = streamio.read_ascii_bits(path)
+        chunks = list(streamio.iter_ascii_payload(path, chunk))
+        assert streamio.count_ascii_bits(path) == windows.size
+        assert [count for _, count in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert 0 < chunks[-1][1] <= chunk
+        got = np.concatenate([np.unpackbits(payload)[:count] for payload, count in chunks])
+        assert np.array_equal(got, windows)
+
+    @pytest.mark.parametrize("at", [0, 70, 127, 128, 299])
+    def test_block_reader_offsets_are_file_offsets(self, tmp_path, monkeypatch, at):
+        data = bytearray(b"01\n" * 100)
+        data[at] = ord("x")
+        path = tmp_path / "w.txt"
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(streamio, "_ASCII_READ", 64)
+        for read in (streamio.count_ascii_bits, lambda p: list(streamio.iter_ascii_payload(p, 8))):
+            with pytest.raises(StreamFormatError, match="invalid character 'x'") as err:
+                read(path)
+            assert err.value.offset == at
+
 
 class TestBitFiles:
     def test_packed_round_trip_with_sidecar(self, tmp_path):
