@@ -28,29 +28,23 @@ from .streamio import write_ascii_bits, write_packed_bits
 MAX_WORD_BITS = 16
 UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
 _ROWS = 64  # counts rows whose deviations are evaluated at a time
-_SLICE = 1 << 20  # words folded and counted at a time
+_SLICE = 1 << 20  # words counted at a time
 
 
 def _word_counts(bits: np.ndarray, width: int) -> np.ndarray:
     """Histogram of the non-overlapping MSB-first ``width``-bit words of a
     0/1 array; a partial tail is dropped.  Words are folded in the
-    narrowest unsigned dtype that holds them, ``_SLICE`` at a time, so
-    that ``np.bincount``'s intp copy of them stays one slice long."""
+    narrowest unsigned dtype that holds them and counted ``_SLICE`` at a
+    time, so that ``np.bincount``'s intp copy of them stays one slice long."""
     rows = bits[: bits.size // width * width].reshape(-1, width)
-    words = np.empty(min(rows.shape[0], _SLICE), np.min_scalar_type((1 << width) - 1))
-
-    def count(block):
-        folded = words[: block.shape[0]]
-        folded[...] = 0
-        for column in block.T:
-            folded <<= 1
-            folded |= column
-        return np.bincount(folded, minlength=1 << width)
-
-    slices = (count(rows[lo : lo + _SLICE]) for lo in range(0, max(rows.shape[0], 1), _SLICE))
-    counts = next(slices)  # summed in place: a 4^12-cell histogram is 128 MiB
-    for more in slices:
-        counts += more
+    words = np.zeros(rows.shape[0], np.min_scalar_type((1 << width) - 1))
+    for column in rows.T:
+        words <<= 1
+        words |= column
+    # summed in place: at width 24 one histogram is 128 MiB
+    counts = np.bincount(words[:_SLICE], minlength=1 << width)
+    for lo in range(_SLICE, words.size, _SLICE):
+        counts += np.bincount(words[lo : lo + _SLICE], minlength=1 << width)
     return counts
 
 

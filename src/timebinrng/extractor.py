@@ -188,7 +188,7 @@ class BitPacker:
     """
 
     def __init__(self, sink=None, work=None):
-        self._work = work or _Workspace()  # see _Workspace
+        self._work = work or _Workspace()
         self._full: list[np.ndarray] = []
         self._write = self._full.append if sink is None else sink.write
         self._carry = np.uint64(0)  # the bit_length % 64 pending bits, left-aligned

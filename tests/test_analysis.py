@@ -88,7 +88,7 @@ class TestMinEntropy:
 
     def test_single_bit_words_cost_under_1_5_bytes_per_bit(self):
         # np.bincount's intp copy of one word per bit once held 9 B/bit at d = 1
-        bits = (np.random.default_rng(411).random(1 << 24) < 0.5).astype(np.uint8)
+        bits = np.random.default_rng(411).integers(0, 2, 1 << 25, dtype=np.uint8)
         tracemalloc.start()
         try:
             rep = min_entropy(bits, 1)
