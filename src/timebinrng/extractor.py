@@ -146,16 +146,19 @@ def join_packed(carry: tuple[int, int], payload: np.ndarray, usable: int, total:
 class _Workspace:
     """Named arrays kept from one call to the next, so that a chunk-sized
     temporary is allocated once, not on every feed: ``work(name, size,
-    dtype, room)`` is the first ``size`` entries of an array that grows,
-    to ``room`` entries or more, only when it is too short."""
+    dtype, room)`` is the first ``size`` entries of the array kept under
+    that name and dtype, which grows, to ``room`` entries or more, only
+    when it is too short.  Users whose arrays are never alive at the same
+    time may share a slot by asking for the same name and dtype."""
 
     def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
+        self._arrays: dict[tuple[str, str], np.ndarray] = {}
 
     def __call__(self, name: str, size: int, dtype, room: int = 0) -> np.ndarray:
-        arr = self._arrays.get(name)
+        key = name, np.dtype(dtype).str
+        arr = self._arrays.get(key)
         if arr is None or arr.size < size:
-            arr = self._arrays[name] = np.empty(max(size, room), dtype)
+            arr = self._arrays[key] = np.empty(max(size, room), dtype)
         return arr[:size]
 
     def clear(self) -> None:
@@ -218,15 +221,18 @@ class BitPacker:
             return
         work, size = self._work, self._queued
         queued_values, queued_lengths = zip(*self._queue)
-        values = np.concatenate(queued_values, out=work("values", size, np.uint64))
-        lengths = np.concatenate(queued_lengths, out=work("lengths", size, np.int64))
+        # the codec's slots, dead once its encode has returned (the queued
+        # arrays are never slots)
+        values = np.concatenate(queued_values, out=work("f", size, np.uint64))
+        lengths = np.concatenate(queued_lengths, out=work("index", size, np.int64))
         self._queue, self._queued = [], 0
         pending = self._bits % 64
-        ends = np.cumsum(lengths, out=work("ends", size, np.int64))
+        ends = np.cumsum(lengths, out=work("K", size, np.int64))
         ends += pending
-        starts = np.subtract(ends, lengths, out=work("starts", size, np.int64))
-        offset = np.bitwise_and(starts, 63, out=work("offset", size, np.int64)).view(np.uint64)
+        total = int(ends[-1])
+        starts = np.subtract(ends, lengths, out=ends)
         values <<= np.subtract(64, lengths, out=lengths).view(np.uint64)  # left-aligned in a word
+        offset = np.bitwise_and(starts, 63, out=lengths).view(np.uint64)
         # no fragment outgrows a word, so every word up to the last start
         # holds a start, and only the last fragment to start in a word can
         # spill into the next one (two shifts: at offset 0 one would be 64)
@@ -235,7 +241,7 @@ class BitPacker:
         np.not_equal(word[1:], word[:-1], out=closes[:-1])
         closes[-1] = True
         last = np.flatnonzero(closes)
-        spill = values.take(last, out=work("spill", last.size, np.uint64), mode="clip")
+        spill = values.take(last, out=work("term", last.size, np.uint64), mode="clip")
         spill <<= np.uint64(1)
         spill <<= np.subtract(np.uint64(63), offset.take(last, mode="clip"))
         # at their offsets a word's pieces are disjoint, so their sum is
@@ -248,7 +254,6 @@ class BitPacker:
         words[1:-1] -= sums[:-1]
         words[0] |= self._carry
         words[1:] |= spill
-        total = int(ends[-1])
         self._carry = words[total >> 6]
         full = words[: total >> 6]
         if _LITTLE:
@@ -339,9 +344,15 @@ class _BlockCodec:
     """Rank tables for encoding many blocks of one length at once.
 
     The rank is additive over a block's bytes: byte c adds
-    ``tables[c, byte, k_after]``, where k_after counts the avalanches in
-    the later bytes.  The subblock is closed-form: the fragment width is
-    bit_length(f XOR C(n, k)) - 1 and its value f mod 2^width.
+    ``tables[c, 256 * k_after + byte]``, where k_after counts the
+    avalanches in the later bytes.  For n > 16 each block keeps
+    K = 256 * k_after through the byte-column loop, from its last byte to
+    its first, so one add, K + byte, indexes both the column's table and
+    ``_next``, one table for all columns that holds the next column's K,
+    256 * (k_after + popcount(byte)): a column costs one add and two
+    gathers, and k = K >> 8 at the end.  The subblock is closed-form: the
+    fragment width is bit_length(f XOR C(n, k)) - 1 and its value
+    f mod 2^width.
 
     :meth:`encode` packs its windows once, each channel on its own.  For
     n <= 16 the tables are folded at construction into one entry per
@@ -372,14 +383,14 @@ class _BlockCodec:
         # grow the tables bit by bit from each byte's last window: a set bit at
         # position p adds C(n - p, avalanches from p on); later bytes hold <= n - 8
         k_after = np.arange(max(n - 8, 0) + 1)
-        tables = np.zeros((n_bytes, 1, k_after.size), dtype=np.uint64)
+        tables = np.zeros((n_bytes, k_after.size, 1), dtype=np.uint64)
         for bit in range(8):
             pos = 8 * np.arange(n_bytes) + 8 - bit
-            counts = k_after + 1 + _POPCOUNT[: 1 << bit, None]
+            counts = k_after[:, None] + 1 + _POPCOUNT[: 1 << bit]
             term = choose[np.maximum(n - pos, 0)][:, counts] * (pos <= n)[:, None, None]
-            tables = np.concatenate([tables, tables + term], axis=1)
-        self._stride = k_after.size
-        self._tables = tables.reshape(n_bytes, -1)  # index: byte * stride + k_after
+            tables = np.concatenate([tables, tables + term], axis=2)
+        self._tables = tables.reshape(n_bytes, -1)  # index: 256 * k_after + byte
+        self._next = (256 * (k_after[:, None] + _POPCOUNT)).ravel()  # the next byte's 256 * k_after
         # float64 holds every f XOR C(n, k) exactly unless C(n, k) reaches 2^53
         self._rounds = int(self._cnk.max()) >= 1 << 53
         self._mask = ~np.uint64((1 << (64 - n)) - 1)  # the n leading bits of a word
@@ -405,33 +416,32 @@ class _BlockCodec:
 
     def _encode_words(self, words: np.ndarray, work=None, room: int = 0):
         """(values, widths) of left-aligned block words by table sums; the
-        byte-column loop runs in ``work``'s arrays (see :class:`_Workspace`),
-        at least ``room`` long."""
+        byte-column loop and the subblock run in ``work``'s arrays (see
+        :class:`_Workspace`), at least ``room`` long."""
         work = work or _Workspace()
         size = words.size
-        big_endian = work("big_endian", size, ">u8", room)
-        big_endian[...] = words
-        block_bytes = big_endian.view(np.uint8).reshape(-1, 8)
-        byte, index = work("byte", size, np.intp, room), work("index", size, np.intp, room)
-        term, pop = work("term", size, np.uint64, room), work("pop", size, np.intp, room)
-        last = self._tables.shape[0] - 1
-        byte[...] = block_bytes[:, last]
-        np.multiply(byte, self._stride, out=index)  # no later bytes: k_after = 0
-        f = self._tables[last].take(index, out=work("f", size, np.uint64, room), mode="clip")
-        k = _POPCOUNT.take(byte, out=work("k", size, np.intp, room), mode="clip")
-        for c in range(last - 1, -1, -1):
-            byte[...] = block_bytes[:, c]
-            np.multiply(byte, self._stride, out=index)
-            index += k
+        block_bytes = words.view(np.uint8).reshape(-1, 8)
+        block_bytes = block_bytes[:, ::-1] if _LITTLE else block_bytes  # most significant first
+        index, term = work("index", size, np.intp, room), work("term", size, np.uint64, room)
+        f, K = work("f", size, np.uint64, room), work("K", size, np.intp, room)  # K = 256 * k_after
+        f[...], K[...] = 0, 0
+        for c in range(self._tables.shape[0] - 1, -1, -1):
+            np.add(K, block_bytes[:, c], out=index)
             f += self._tables[c].take(index, out=term, mode="clip")
-            k += _POPCOUNT.take(byte, out=pop, mode="clip")
+            self._next.take(index, out=K, mode="clip")
         # width = bit_length(f XOR C(n, k)) - 1, the bit length read from the
         # float exponent, which rounding may carry one too high
-        x = f ^ self._cnk[k]
-        length = np.frexp(x.astype(np.float64))[1]
+        cnk = self._cnk.take(np.right_shift(K, 8, out=K), out=term, mode="clip")
+        x = np.bitwise_xor(f, cnk, out=term)
+        length = index  # the loop's index slot, dead by now
+        mantissa = work("mantissa", size, np.float64, room)
+        mantissa[...] = x
+        np.frexp(mantissa, out=(mantissa, length))
         if self._rounds:
             length -= x < _POW2[length]
-        return f & _LOW[length], (length - 1).astype(np.int8)
+        values = f & _LOW.take(length, out=term, mode="clip")
+        length -= 1
+        return values, length.astype(np.int8)
 
     def _index(self, packed: np.ndarray, n_blocks: int) -> np.ndarray:
         """Folded-table indices of ``per`` consecutive blocks each, from

@@ -20,9 +20,10 @@ to the upper bound.  Each sub-interval is thresholded with one scalar
 compare per bound; about 0.3% of the lit scenarios' windows fall
 between the bounds.  These p values settle the undecided draws' own
 clicks, then the afterpulse resolve: exact and mostly vectorised, it
-settles most candidates by the latest unconditional click alone and
-the rest, which wait on an earlier tap-induced click, in one pass over
-just those windows.
+settles most candidates by the latest unconditional click alone, most
+of the rest, which wait on an earlier candidate, by that candidate's
+settled state, and only chains of such waits in one pass over just
+those windows.
 A chunk holds one byte per window, its clicks; the draws are made and
 thresholded in 2^16-window blocks, into buffers each slice keeps from
 chunk to chunk, and only the undecided draws are kept, with their
@@ -53,7 +54,6 @@ stay on one thread and build no pool.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -189,9 +189,11 @@ def _resolve_afterpulses(
     unconditional click, or the one carried in from earlier chunks,
     unless an earlier candidate lies after it and within reach.
     Only the len(taps) windows before a candidate are looked at for it.
-    All other candidates are settled in one vectorised step; the
-    dependent ones follow in window order, one pass over just those,
-    exact for chains of any length.
+    All other candidates are settled in one vectorised step, and so is
+    each dependent one whose predecessor candidate is not itself
+    dependent, from that predecessor's settled state.  Only the chained
+    ones follow in window order, one pass over just those, exact for
+    chains of any length.
     Beyond O(candidates), nothing chunk-sized is allocated.
     """
     depth = len(taps)
@@ -212,26 +214,24 @@ def _resolve_afterpulses(
     dep = np.flatnonzero(np.diff(cand) < dist[1:]) + 1
     if dep.size:
         # state: distance from a candidate to the latest avalanche at or
-        # before it, 0 if it clicked.  -1 marks a dependent predecessor,
-        # whose state is the one the loop has just computed.
-        state = np.where(fired, 0, dist)[dep - 1]
-        state[1:][dep[1:] - 1 == dep[:-1]] = -1
-        gap = cand[dep] - cand[dep - 1]
+        # before it, 0 if it clicked.  A dependent whose predecessor is not
+        # dependent takes that predecessor's settled state, all in one step;
+        # a chained one, whose predecessor is dependent too, takes the state
+        # just computed for it, in window order.
         tap_at = [*taps, -math.inf]  # tap at distance d; -inf never clicks
-        p_dep = pc[dep].tolist() if np.ndim(pc) else itertools.repeat(pc)
-        out = []
-        s = 0
-        for x, q, r, g, s_prev in zip(
-            uc[dep].tolist(), p_dep, dist[dep].tolist(), gap.tolist(), state.tolist()
-        ):
-            if s_prev >= 0:
-                s = s_prev
-            d = s + g  # the nearer of the predecessor's avalanche and the reference
-            if d > r:
-                d = r
-            s = 0 if x < q + tap_at[d - 1] else d
-            out.append(s)
-        fired[dep] = np.equal(out, 0)
+        x, q = uc[dep], (pc[dep] if np.ndim(pc) else pc)
+        gap, reach = cand[dep] - cand[dep - 1], dist[dep]
+        # the nearer of the predecessor's avalanche and the reference
+        d = np.minimum(np.where(fired, 0, dist)[dep - 1] + gap, reach)
+        state = np.where(x < q + np.take(tap_at, d - 1), 0, d)
+        chained = np.flatnonzero(dep[1:] - 1 == dep[:-1]) + 1
+        if chained.size:
+            state = state.tolist()
+            rows = (a[chained].tolist() for a in (x, np.broadcast_to(q, x.shape), gap, reach))
+            for j, xj, qj, g, r in zip(chained.tolist(), *rows):
+                d = min(state[j - 1] + g, r)
+                state[j] = 0 if xj < qj + tap_at[d - 1] else d
+        fired[dep] = np.equal(state, 0)
     clicks[cand[fired]] = 1
     # the latest avalanche, searched backwards _SPAN windows at a time
     for hi in range(clicks.size, 0, -_SPAN):

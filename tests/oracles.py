@@ -43,6 +43,19 @@ def naive_rank(n, positions):
     return total
 
 
+def byte_rank_term(n, column, k_after, byte):
+    """The rank that byte ``column`` of an n-window block adds when it holds
+    ``byte``, its most significant bit the earliest window, and ``k_after``
+    avalanches follow in later bytes: C(n - p, avalanches from p on) summed
+    over its set windows p = 8 * column + 1.. that lie inside the block."""
+    total = 0
+    for j in range(8):
+        if byte >> (7 - j) & 1 and 8 * column + j + 1 <= n:
+            from_here = bin(byte & ((1 << (8 - j)) - 1)).count("1") + k_after
+            total += math.comb(n - (8 * column + j + 1), from_here)
+    return total
+
+
 def naive_encode(n, window_bits):
     """Fragment (value, bit_length) for one block, or None if discarded.
 

@@ -353,6 +353,24 @@ class TestExtractMemory:
         assert (tmp_path / "o.bin").stat().st_size > 800_000
         assert large - small < 1 << 20, (small, large)
 
+    def test_single_feed_shares_the_codec_slots(self, tmp_path, capsys):
+        # one 2^20-window feed a channel at n = 64: the packer packs in the
+        # codec's kept slots, dead once encode returns, instead of its own
+        # beside them (4.7-4.9 MiB while the two sets coexisted)
+        assert main(["simulate", "--scenario", "b", "--windows", str(1 << 20), "--seed", "3",
+                     "--out", str(tmp_path / "b.tbd1")]) == 0
+        argv = ["extract", str(tmp_path / "b.ch0.tbd1"), str(tmp_path / "b.ch1.tbd1"), "-N", "64",
+                "--out", str(tmp_path / "o.bin")]
+        assert main(argv) == 0  # codec tables and other one-time state
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+        assert peak < 4 << 20, peak
+
 
 class TestAnalyze:
     def _bits_file(self, tmp_path, capsys, windows=2_000_000):

@@ -31,7 +31,14 @@ from timebinrng.extractor import (
     fragments_to_bit_array,
 )
 
-from oracles import all_combinations, all_patterns, bits_of_fragment, naive_encode, pack_reference
+from oracles import (
+    all_combinations,
+    all_patterns,
+    bits_of_fragment,
+    byte_rank_term,
+    naive_encode,
+    pack_reference,
+)
 
 
 def stream(bits, **kw):
@@ -591,6 +598,69 @@ class TestBlockWords:
             words = _block_words(packed, n, n_blocks).astype(">u8")
             got = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1)
             assert np.array_equal(got[:, :n], bits.reshape(n_blocks, n))
+
+
+class TestRankKernel:
+    """The n > 16 byte-column loop: one add and two gathers per column over
+    K = 256 * k_after, from tables laid out as [column, 256 * k_after + byte]."""
+
+    @pytest.mark.parametrize("n", [17, 24, 33, 57, 64])
+    def test_tables_match_brute_force_terms(self, n):
+        codec = _codec(n)
+        k_afters = range(max(n - 8, 0) + 1)
+        assert codec._tables.tolist() == [
+            [byte_rank_term(n, c, k, byte) for k in k_afters for byte in range(256)]
+            for c in range((n + 7) // 8)
+        ]
+        assert codec._next.tolist() == [
+            256 * (k + bin(byte).count("1")) for k in k_afters for byte in range(256)
+        ]
+
+    @pytest.mark.parametrize("n", [17, 24, 33, 57, 64])
+    def test_reachable_indices_lie_inside_the_tables(self, n):
+        # the gathers clip, which would silently clamp an index past a
+        # table's end: walk every K the kernel can reach, column by column
+        # from the last, whose bits after the block are zero
+        codec = _codec(n)
+        last = (n + 7) // 8 - 1
+        reach = {0}
+        for c in range(last, -1, -1):
+            bytes_ = [b for b in range(256) if c < last or (b & 0xFF >> (n - 8 * last)) == 0]
+            index = {K + b for K in reach for b in bytes_}
+            assert max(index) < min(codec._tables.shape[1], codec._next.size)
+            reach = set(codec._next[sorted(index)].tolist())
+        assert max(reach) == 256 * n  # the last K holds the block's k
+
+    @pytest.mark.parametrize("policy", MERGE_POLICIES)
+    @pytest.mark.parametrize("n", [36, 64])
+    def test_fragments_queued_across_feeds_keep_their_values(self, n, policy):
+        # at n >= 36 fragments reach the packer unjoined and wait in its
+        # queue for many feeds, while each encode reuses the kept slots
+        assert _codec(n).levels == 0
+        rng = np.random.default_rng(n)
+        chans = [(rng.random(60 * n + 5) < 0.5).astype(np.uint8) for _ in range(2)]
+        merger = StreamingMerger(n, 2, policy)
+        for lo in range(0, chans[0].size, 3 * n + 1):
+            merger.feed([w[lo : lo + 3 * n + 1] for w in chans])
+        out = merger.finish()
+        one_shot = merge_channels([DetectionStream(w) for w in chans], n, policy)
+        assert (out.data, out.total_bits, out.stats) == (
+            one_shot.data, one_shot.total_bits, one_shot.stats
+        )
+        data_, total_bits, stats = reference_merge(chans, n, policy)
+        assert (out.data, out.total_bits) == (data_, total_bits)
+        assert vars(out.stats) == stats
+
+
+class TestWorkspace:
+    def test_slots_are_keyed_by_name_and_dtype(self):
+        work = extractor._Workspace()
+        kept = work("slot", 4, np.int64)
+        kept[...] = 7
+        other = work("slot", 4, np.uint8)
+        assert other.dtype == np.uint8 and not np.shares_memory(kept, other)
+        again = work("slot", 3, np.int64)
+        assert np.shares_memory(kept, again) and again.tolist() == [7, 7, 7]
 
 
 class TestFragmentsToBitArray:
