@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of simulate and extract output.
+"""Pinned sha256 digests of simulate, extract and analyze output.
 
 The simulator is a pure function of (model, seed, channel, window count)
 under ``GENERATOR_TAG``, and extraction a pure function of (windows, n,
@@ -8,10 +8,12 @@ magic, and the change is recorded in CHANGES.md.
 
 Each case runs in two chunkings, which must give the same digest, and
 each simulate case once more with its chunk drawn in slices on other
-threads.
+threads.  ``analyze`` is pinned by exit code and stdout on each input
+kind under every combination of checks, the wrong-kind ones included.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -227,3 +229,52 @@ def test_cli_extract(cli_streams, tmp_path, case, chunk):
     assert _sha(out.read_bytes()) == CLI_BYTES[case]
     if "--format" not in opts:
         assert streamio.read_meta(out)["stats"] == CLI_STATS[case]
+
+
+# analyze's input kinds: a TIMEBIN1 window stream, simulate's ASCII windows
+# and the packed bits of the pair-round-robin extract
+ANALYZE_FILES = {"tbd1": "b.ch0.tbd1", "ascii": "b.ch0.txt", "packed": "bits.bin"}
+ANALYZE_CHECKS = ("--min-entropy", "--uniformity", "--sanity")
+
+ANALYZE = {  # (exit code, stdout digest) at -d 5 -N 3
+    ("ascii", "--min-entropy"): (0, "abf6513ec37157ea3a86ed797e40ca29cc76cb5e48a14fe0356edd198344385b"),
+    ("ascii", "--uniformity"): (0, "4eda5995bf1c511a30ae8567a632834c3a54a0358d84da7828f3e15b63545aac"),
+    ("ascii", "--sanity"): (1, "417e00f8edc47a1a93c395da8adc74a5884f0d2d0dcc4306dbac4e3dfba4617a"),
+    ("ascii", "--min-entropy --uniformity"): (0, "1ce29f5cdd70ad3d7e59b1de36b54bfdc7087dd632f124041fe9ba8e52fd16bc"),
+    ("ascii", "--min-entropy --sanity"): (1, "52f6ad04e3dbb7cf122831248dd431aa9b0a64c2246b2d842f6f90f8e276c0e2"),
+    ("ascii", "--uniformity --sanity"): (1, "97397261bc27e6970f866fd2532437bb76f5db9b5a7de3ca741a9227d80eea20"),
+    ("ascii", "--min-entropy --uniformity --sanity"): (1, "08c48a5eb5f39b6e15b4a7ab7df3c3da0c85c9f1a61289b4955adcb8a9a290dc"),
+    ("packed", "--min-entropy"): (0, "6cca37da929e00868062fd66ba206a3765d8375a215fd4192faf743bce5afdac"),
+    ("packed", "--uniformity"): (1, "224187869e6bf2cb17292d7faf97c264ffe49ac816dc6a1769170db92b566644"),
+    ("packed", "--sanity"): (0, "13161bb0be585a93d6dfed113fb80d462ea85ee9070ca82db561e5cb8dde8911"),
+    ("packed", "--min-entropy --uniformity"): (1, "493cac5b45d3d88449fdea134e42c32d3613ca63491b022ac109289b92efcce1"),
+    ("packed", "--min-entropy --sanity"): (0, "0dd5d9201b559bfcc3b5ff8dca22c83544f3e9efd701d91a1f8cd98d6a81a17f"),
+    ("packed", "--uniformity --sanity"): (1, "c6ccc16ad10f64402d37ba22ef7e11a7a3c93dd81d490c0da29df9528da1a1c2"),
+    ("packed", "--min-entropy --uniformity --sanity"): (1, "158c65e11c276309b0bcea5509493770a6e0576fb2cfe5d9e38d44ae0361bb37"),
+    ("tbd1", "--min-entropy"): (1, "8eb02007a494f25b2948ce80285604bf2a236828eb70fc1396f14cb4f4ed7e18"),
+    ("tbd1", "--uniformity"): (0, "4eda5995bf1c511a30ae8567a632834c3a54a0358d84da7828f3e15b63545aac"),
+    ("tbd1", "--sanity"): (1, "fd331ed28cd9ced70cc8732097431c8444fdd5140ad2671ddf68d3b001031712"),
+    ("tbd1", "--min-entropy --uniformity"): (1, "4233c025e67cef4ce6ffe22942b6d38fe53f3b8f2c0cd7cd30942bd16fdc376a"),
+    ("tbd1", "--min-entropy --sanity"): (1, "3306c972597e0a7fe575d3ccc62b95967b378297191f3e1289e873e937440760"),
+    ("tbd1", "--uniformity --sanity"): (1, "da63e044025a1071ff9d6c24a59f4e191576e53122c2bcd512522ffa49c6a000"),
+    ("tbd1", "--min-entropy --uniformity --sanity"): (1, "e8c3254b61bff2d17c3e1b747c6da1b1dca89e991719c3fc4a9cccb13dfb0d6a"),
+}
+
+
+@pytest.fixture(scope="module")
+def analyze_files(cli_streams):
+    _cli("extract", cli_streams / "b.ch0.tbd1", cli_streams / "b.ch1.tbd1", "-N", 17,
+         "--out", cli_streams / "bits.bin")
+    return cli_streams
+
+
+def test_analyze_cases_cover_every_check_combination():
+    combos = [" ".join(c) for r in (1, 2, 3) for c in itertools.combinations(ANALYZE_CHECKS, r)]
+    assert sorted(ANALYZE) == sorted((kind, c) for kind in ANALYZE_FILES for c in combos)
+
+
+@pytest.mark.parametrize("kind, checks", sorted(ANALYZE))
+def test_cli_analyze(analyze_files, capsys, kind, checks):
+    code = main(["analyze", str(analyze_files / ANALYZE_FILES[kind]), *checks.split(),
+                 "-d", "5", "-N", "3"])
+    assert (code, _sha(capsys.readouterr().out.encode())) == ANALYZE[kind, checks]
