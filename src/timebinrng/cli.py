@@ -219,16 +219,19 @@ def _cmd_simulate(args, argv: list[str]) -> int:
 
 
 def _open_input(path, chunk_windows: int):
-    """Window count, window period (s; None for ASCII) and payload chunks."""
+    """What ``path`` holds, its window period and its (payload, count) chunks.
+
+    The kind is "windows" for a TIMEBIN1 stream, "bits" for a file whose
+    sidecar says it holds packed bits, and None for ASCII, which serves
+    as either; the period (s) is None unless the file is TIMEBIN1.
+    """
     if streamio.is_tbd1(path):
         header = streamio.read_stream_header(path)
         chunks = streamio.iter_stream_payload(path, chunk_windows, _header=header)
-        return header[0], header[1] * 1e-9, chunks
+        return "windows", header[1] * 1e-9, chunks
     if streamio.packed_bits_meta(path) is not None:
-        raise DomainError(f"{path}: extract needs a window stream (TIMEBIN1 or ascii windows);"
-                          " got a packed bit file")
-    count = streamio.count_ascii_bits(path)
-    return count, None, streamio.iter_ascii_payload(path, chunk_windows)
+        return "bits", None, streamio.iter_bits_payload(path, chunk_windows)
+    return None, None, streamio.iter_ascii_payload(path, chunk_windows)
 
 
 def _cmd_extract(args, argv: list[str]) -> int:
@@ -237,12 +240,11 @@ def _cmd_extract(args, argv: list[str]) -> int:
             f"--chunk-windows must be a positive multiple of 8, got {args.chunk_windows}"
         )
     inputs = args.inputs
-    counts, periods, iters = zip(*(_open_input(p, args.chunk_windows) for p in inputs))
-    if args.merge == "round-robin-block" and len(set(counts)) != 1:
-        raise DomainError(
-            "round-robin-block merging needs equal window counts per channel; "
-            f"got {list(counts)}"
-        )
+    kinds, periods, iters = zip(*(_open_input(p, args.chunk_windows) for p in inputs))
+    if "bits" in kinds:
+        raise DomainError(f"{inputs[kinds.index('bits')]}: extract needs a window stream"
+                          " (TIMEBIN1 or ascii windows); got a packed bit file")
+    fed = [0] * len(inputs)  # windows fed per channel
     ascii_out = args.format == "ascii"
     # the output is written as it is packed; spilled channels wait beside it
     with streamio.atomic_open(args.out) as fh:
@@ -251,23 +253,30 @@ def _cmd_extract(args, argv: list[str]) -> int:
                                  spill_dir=Path(args.out).parent)
         with contextlib.closing(merger):
             for chunks in itertools.zip_longest(*iters, fillvalue=(np.zeros(0, np.uint8), 0)):
-                merger.feed(*zip(*chunks))
+                payloads, counts = zip(*chunks)
+                fed = [f + c for f, c in zip(fed, counts)]
+                # each input yields exactly --chunk-windows a chunk until it ends
+                if args.merge == "round-robin-block" and len(set(counts)) > 1:
+                    raise DomainError("round-robin-block merging needs equal window counts per"
+                                      f" channel; got {fed} windows up to the first unequal chunk")
+                merger.feed(payloads, counts)
             merger.finish()
         stats = merger.stats
         if ascii_out:  # the codes of the last byte's padding bits go
             fh.truncate(stats.bits_emitted)
-    if not ascii_out:
-        streamio.write_bits_meta(args.out, stats.bits_emitted, {
-            "stats": asdict(stats),
-            "command": "extract",
-            "version": __version__,
-            "block_len": args.block_len,
-            "merge_policy": args.merge if len(inputs) > 1 else None,
-            "inputs": list(inputs),
-        })
+    streamio.write_meta(args.out, {
+        "format": "ascii" if ascii_out else streamio.PACKED_BITS,
+        "total_bits": stats.bits_emitted,
+        "stats": asdict(stats),
+        "command": "extract",
+        "version": __version__,
+        "block_len": args.block_len,
+        "merge_policy": args.merge if len(inputs) > 1 else None,
+        "inputs": list(inputs),
+    })
     _write_manifest(args.out, argv, "extract", [args.out])
 
-    windows_per_channel = max(counts)
+    windows_per_channel = max(fed)
     print(f"channels = {len(inputs)}")
     for name, value in asdict(stats).items():
         print(f"{name} = {value}")
@@ -312,6 +321,17 @@ def _text(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
+def _unpacked(chunks) -> np.ndarray:
+    """The 0/1 array of (payload, count) chunks that join byte for byte,
+    as the readers yield them."""
+    held = list(chunks)
+    starts = [0, *itertools.accumulate(8 * payload.size for payload, _ in held)]
+    out = np.empty(starts[-1], dtype=np.uint8)
+    for (payload, _), lo, hi in zip(held, starts, starts[1:]):
+        out[lo:hi] = np.unpackbits(payload)
+    return out[: sum(n for _, n in held)]
+
+
 def _cmd_analyze(args, argv: list[str]) -> int:
     checks = [row for row in _CHECKS if getattr(args, row[0].replace("-", "_"))]
     if not checks:
@@ -320,19 +340,15 @@ def _cmd_analyze(args, argv: list[str]) -> int:
         raise DomainError(f"--word-bits must be in 1..{MAX_WORD_BITS}, got {args.word_bits}")
     if args.uniformity and not 2 <= args.block_len <= UNIFORMITY_MAX_BLOCK:
         raise DomainError(f"--block-len must be in 2..{UNIFORMITY_MAX_BLOCK}, got {args.block_len}")
-    # a TIMEBIN1 stream holds windows, a file whose sidecar says so holds
-    # packed bits and an ASCII file serves as either; it is read once, if at all
-    path = args.input
-    tbd1 = streamio.is_tbd1(path)
-    kind = "windows" if tbd1 else "bits" if streamio.packed_bits_meta(path) is not None else None
-    data = None
-    sections, all_pass = [], True
+    # the input is read once, if at all, and only by a check of a kind it serves
+    kind, _, chunks = _open_input(args.input, _DEFAULT_CHUNK)
+    data, sections, all_pass = None, [], True
     for name, view, call in checks:
         try:
             if kind not in (None, view):
                 raise DomainError(_WRONG_INPUT[view])
             if data is None:
-                data = streamio.read_stream(path).windows if tbd1 else streamio.read_bits(path)
+                data = _unpacked(chunks)
             report = _report(call(data, args))
         except DomainError as exc:  # format errors end the run with exit 2
             report = {"error": str(exc)}

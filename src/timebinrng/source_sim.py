@@ -173,7 +173,13 @@ def _resolve_afterpulses(
     start_index: int,
     last_avalanche: int,
 ) -> int:
-    """Add tap-induced clicks in place; returns the new last-avalanche index.
+    """Add tap-induced clicks in place; returns the last-avalanche index to
+    carry into the next chunk.
+
+    That is the latest avalanche in the chunk's last len(taps) windows,
+    the only ones the next chunk can reach, or, when none clicked there,
+    ``last_avalanche`` as given: the latest one in a shorter chunk, and
+    out of the next chunk's reach, like any avalanche it hides, otherwise.
 
     Only a candidate, a window that did not click on its own and has
     u < p + max(taps), can change state.  ``cand`` gives, in ascending
@@ -233,13 +239,10 @@ def _resolve_afterpulses(
                 state[j] = 0 if xj < qj + tap_at[d - 1] else d
         fired[dep] = np.equal(state, 0)
     clicks[cand[fired]] = 1
-    # the latest avalanche, searched backwards _SPAN windows at a time
-    for hi in range(clicks.size, 0, -_SPAN):
-        lo = max(hi - _SPAN, 0)
-        hits = np.flatnonzero(clicks[lo:hi])
-        if hits.size:
-            return start_index + lo + int(hits[-1])
-    return last_avalanche
+    # the next chunk looks back len(taps) windows at most
+    lo = max(clicks.size - depth, 0)
+    hits = np.flatnonzero(clicks[lo:])
+    return start_index + lo + int(hits[-1]) if hits.size else last_avalanche
 
 
 def _slice_threads() -> int:

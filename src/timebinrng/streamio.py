@@ -13,10 +13,15 @@ The extractor takes payloads packed, as :func:`iter_stream_payload` reads them.
 ASCII streams and bit files use one '0'/'1' character per window/bit;
 whitespace is ignored on input.  Packed bit files carry their exact bit
 count in an adjacent ``<name>.meta.json`` sidecar of ``format``
-``packed-bits-msb-first``.
+``packed-bits-msb-first``.  Each kind of file has one chunked reader,
+:func:`iter_stream_payload`, :func:`iter_bits_payload` or
+:func:`iter_ascii_payload`, and all three yield the same packed
+``(payload, count)`` chunks.
 
 Every writer goes through a temp file beside its target and renames it
-into place, so an output appears whole or not at all.
+into place, so an output appears whole or not at all.  The target's
+sidecar goes just before the rename: a reader sees an output with the
+sidecar its own run wrote after it, or with none.
 """
 
 from __future__ import annotations
@@ -47,13 +52,15 @@ _ASCII_READ = 1 << 16  # bytes of ASCII text parsed, or of packed bits spelled o
 
 @contextmanager
 def atomic_open(path):
-    """Binary file handle whose contents replace ``path`` on a clean exit;
-    after an exception ``path`` is left as it was."""
+    """Binary file handle whose contents replace ``path`` on a clean exit,
+    after ``path``'s sidecar is removed; after an exception ``path`` and
+    its sidecar are left as they were."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
+        meta_path(path).unlink(missing_ok=True)  # no new output beside an older run's sidecar
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -175,6 +182,22 @@ def read_stream_header(path) -> tuple[int, int, int]:
     return count, period_ns, channel
 
 
+def _payload_chunks(path, base: int, count: int, chunk_windows: int):
+    """Yield (payload, count) chunks of at most ``chunk_windows`` of the
+    ``count`` MSB-first packed bits stored from byte ``base`` of ``path``."""
+    if chunk_windows <= 0 or chunk_windows % 8:
+        raise StreamFormatError("chunk_windows must be a positive multiple of 8")
+    with open(path, "rb") as fh:
+        fh.seek(base)
+        for start in range(0, count, chunk_windows):
+            take = min(chunk_windows, count - start)
+            buf = fh.read((take + 7) // 8)
+            if len(buf) < (take + 7) // 8:  # the file shrank since its size was checked
+                at = base + start // 8 + len(buf)
+                raise StreamFormatError(f"{path}: payload ends early", offset=at)
+            yield np.frombuffer(buf, dtype=np.uint8), take
+
+
 def iter_stream_payload(
     path, chunk_windows: int = 1 << 24, *, _header: tuple[int, int, int] | None = None
 ) -> Iterator[tuple[np.ndarray, int]]:
@@ -184,30 +207,14 @@ def iter_stream_payload(
     ``_header`` is what :func:`read_stream_header` returned for ``path``,
     from a caller that read it already; it is not read a second time.
     """
-    if chunk_windows <= 0 or chunk_windows % 8:
-        raise StreamFormatError("chunk_windows must be a positive multiple of 8")
     count, _, _ = read_stream_header(path) if _header is None else _header
-    with open(path, "rb") as fh:
-        fh.seek(HEADER_SIZE)
-        for start in range(0, count, chunk_windows):
-            take = min(chunk_windows, count - start)
-            buf = fh.read((take + 7) // 8)
-            if len(buf) < (take + 7) // 8:  # the file shrank since the header check
-                at = HEADER_SIZE + start // 8 + len(buf)
-                raise StreamFormatError(f"{path}: stream payload ends early", offset=at)
-            yield np.frombuffer(buf, dtype=np.uint8), take
+    yield from _payload_chunks(path, HEADER_SIZE, count, chunk_windows)
 
 
 def iter_stream_windows(path, chunk_windows=1 << 24, *, _header=None) -> Iterator[np.ndarray]:
     """The chunks of :func:`iter_stream_payload` as 0/1 window arrays."""
     chunks = iter_stream_payload(path, chunk_windows, _header=_header)
     return (np.unpackbits(payload)[:count] for payload, count in chunks)
-
-
-def read_stream(path) -> DetectionStream:
-    count, period_ns, channel = read_stream_header(path)
-    windows = np.unpackbits(np.fromfile(path, dtype=np.uint8, offset=HEADER_SIZE))[:count]
-    return DetectionStream(windows, channel_id=channel, window_period=period_ns * 1e-9)
 
 
 def is_tbd1(path) -> bool:
@@ -235,43 +242,28 @@ def parse_ascii_bits(data: bytes, source: str = "<data>", base: int = 0) -> np.n
     return (raw[is_bit] == ord("1")).astype(np.uint8)
 
 
-def read_ascii_bits(path) -> np.ndarray:
-    return parse_ascii_bits(Path(path).read_bytes(), source=str(path))
-
-
-def _ascii_blocks(path) -> Iterator[np.ndarray]:
-    """The 0/1 arrays of an ASCII file's consecutive ``_ASCII_READ``-byte blocks."""
-    with open(path, "rb") as fh:
-        for base in itertools.count(0, _ASCII_READ):
-            data = fh.read(_ASCII_READ)
-            if not data:
-                return
-            yield parse_ascii_bits(data, str(path), base)
-
-
-def count_ascii_bits(path) -> int:
-    """The '0'/'1' characters of an ASCII file, every byte checked."""
-    return sum(bits.size for bits in _ascii_blocks(path))
-
-
 def iter_ascii_payload(path, chunk_windows: int = 1 << 24) -> Iterator[tuple[np.ndarray, int]]:
     """The windows of an ASCII file as :func:`iter_stream_payload` yields a
     TIMEBIN1 stream's: packed chunks of exactly ``chunk_windows``, the last
-    one fewer, read a block at a time."""
+    one fewer, parsed ``_ASCII_READ`` bytes at a time, each byte once."""
     if chunk_windows <= 0 or chunk_windows % 8:
         raise StreamFormatError("chunk_windows must be a positive multiple of 8")
     held: list[np.ndarray] = []
     size = 0
-    for bits in _ascii_blocks(path):
-        held.append(bits)
-        size += bits.size
-        if size >= chunk_windows:
-            joined = np.concatenate(held)
-            whole = size - size % chunk_windows
-            packed = np.packbits(joined[:whole])
-            for lo in range(0, whole // 8, chunk_windows // 8):
-                yield packed[lo : lo + chunk_windows // 8], chunk_windows
-            held, size = [joined[whole:]], size - whole
+    with open(path, "rb") as fh:
+        for base in itertools.count(0, _ASCII_READ):
+            data = fh.read(_ASCII_READ)
+            if not data:
+                break
+            held.append(parse_ascii_bits(data, str(path), base))
+            size += held[-1].size
+            if size >= chunk_windows:
+                joined = np.concatenate(held)
+                whole = size - size % chunk_windows
+                packed = np.packbits(joined[:whole])
+                for lo in range(0, whole // 8, chunk_windows // 8):
+                    yield packed[lo : lo + chunk_windows // 8], chunk_windows
+                held, size = [joined[whole:]], size - whole
     if size:
         yield np.packbits(np.concatenate(held)), size
 
@@ -307,14 +299,10 @@ class AsciiSink:
 
 
 def write_packed_bits(path, data: bytes, total_bits: int, extra: dict | None = None) -> None:
-    """Write MSB-first packed bytes plus their sidecar (see :func:`write_bits_meta`)."""
+    """Write MSB-first packed bytes plus their sidecar: the exact bit count
+    and the ``extra`` keys."""
     with atomic_open(path) as fh:
         fh.write(data)
-    write_bits_meta(path, total_bits, extra)
-
-
-def write_bits_meta(path, total_bits: int, extra: dict | None = None) -> None:
-    """The sidecar of a packed bit file: its exact bit count and the ``extra`` keys."""
     write_meta(path, {"format": PACKED_BITS, "total_bits": total_bits, **(extra or {})})
 
 
@@ -344,12 +332,11 @@ def packed_bits_meta(path):
     return meta if packed else None
 
 
-def read_bits(path) -> np.ndarray:
-    """Read a bit file: packed bytes if its sidecar says so, else ASCII '0'/'1'."""
-    path = Path(path)
+def iter_bits_payload(path, chunk_windows: int = 1 << 24) -> Iterator[tuple[np.ndarray, int]]:
+    """The bits of a packed bit file as :func:`iter_stream_payload` yields a
+    TIMEBIN1 stream's windows.  Its sidecar must hold the bit count, and
+    the file exactly that many bits, zero padded."""
     meta = packed_bits_meta(path)
-    if meta is None:
-        return read_ascii_bits(path)
     total_bits = meta.get("total_bits") if isinstance(meta, dict) else None
     if type(total_bits) is not int or total_bits < 0:
         raise StreamFormatError(
@@ -357,6 +344,4 @@ def read_bits(path) -> np.ndarray:
         )
     with open(path, "rb") as fh:
         _check_payload(fh, total_bits)
-        fh.seek(0)
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
-    return np.unpackbits(data)[:total_bits]
+    yield from _payload_chunks(path, 0, total_bits, chunk_windows)

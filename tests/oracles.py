@@ -8,19 +8,47 @@ numpy only for array access, and the whole-simulator reference, which
 evaluates p(t) at every window with the library's own expression; and
 the uniformity-deviation reference, the dense whole-matrix numpy
 expressions that the library now evaluates a slice of rows at a time;
-and the sanity reference, which keeps numpy for its two lag-1 passes.
+the sanity reference, which keeps numpy for its two lag-1 passes; and
+the whole-file reader, which unpacks bytes with ``np.unpackbits``.
 """
 
 from __future__ import annotations
 
 import decimal
+import json
 import math
 from collections import Counter
 from itertools import combinations as iter_combinations
+from pathlib import Path
 
 import numpy as np
 
 _FAR_PAST = -(1 << 62)
+
+
+def file_bits(path):
+    """The whole 0/1 array an input file holds, read without the library.
+
+    A file that starts with b"TIMEBIN1" holds the windows its header
+    counts, packed from byte 32.  A file beside a ``.meta.json`` sidecar
+    whose ``format`` is ``packed-bits-msb-first``, or absent, holds the
+    sidecar's ``total_bits`` packed from byte 0.  Any other file holds
+    its '0'/'1' characters.  Packed bits must fill the file exactly,
+    zero padded.
+    """
+    data = Path(path).read_bytes()
+    sidecar = Path(f"{path}.meta.json")
+    meta = json.loads(sidecar.read_bytes()) if sidecar.exists() else None
+    if data[:8] == b"TIMEBIN1":
+        count, base = int.from_bytes(data[8:16], "little"), 32
+    elif isinstance(meta, dict) and meta.get("format", "packed-bits-msb-first") == "packed-bits-msb-first":
+        count, base = meta["total_bits"], 0
+    else:
+        return np.array([byte - ord("0") for byte in data if byte in b"01"], dtype=np.uint8)
+    assert len(data) == base + (count + 7) // 8, (len(data), base, count)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=base))
+    assert not bits[count:].any(), "nonzero padding"
+    return bits[:count]
 
 
 def pascal_triangle(n_max):

@@ -40,7 +40,7 @@ from timebinrng import (
 )
 from timebinrng import streamio
 
-from oracles import all_combinations, all_patterns, bits_of_fragment, naive_encode
+from oracles import all_combinations, all_patterns, bits_of_fragment, file_bits, naive_encode
 
 SEED_A, SEED_B, SEED_C, SEED_U = 1001, 1002, 1003, 1004
 
@@ -287,7 +287,7 @@ def test_criterion_9_substitutes(scenario_a_run, tmp_path):
         and streamio.read_meta(packed_path)["total_bits"] == 3
     )
     big = export_nist(bits[:100_001], tmp_path / "big.bin", "packed")
-    round_trip_ok = np.array_equal(streamio.read_bits(big), bits[:100_001])
+    round_trip_ok = np.array_equal(file_bits(big), bits[:100_001])
 
     ok = rep.passed and ascii_ok and packed_ok and round_trip_ok
     report(

@@ -26,6 +26,7 @@ from timebinrng import analysis, streamio
 from oracles import (
     block_counts_reference,
     event_probs_reference,
+    file_bits,
     sanity_reference,
     subblock_max_z_reference,
     uniformity_deviations_reference,
@@ -465,7 +466,7 @@ class TestExportNist:
         rng = np.random.default_rng(7)
         bits = (rng.random(1001) < 0.5).astype(np.uint8)
         path = export_nist(bits, tmp_path / f"bits.{fmt}", fmt)
-        assert np.array_equal(streamio.read_bits(path), bits)
+        assert np.array_equal(file_bits(path), bits)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DomainError):

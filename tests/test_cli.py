@@ -21,6 +21,8 @@ from timebinrng import (
 )
 from timebinrng.cli import main
 
+from oracles import file_bits
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -79,8 +81,7 @@ class TestSimulate:
             "--seed", "3", "--out", str(out),
         )
         assert code == 0
-        stream = streamio.read_stream(out)
-        assert abs(stream.windows.mean() - 0.5) < 0.01
+        assert abs(file_bits(out).mean() - 0.5) < 0.01
 
     @pytest.mark.parametrize("text", [
         '{"chans": []}',
@@ -136,7 +137,7 @@ class TestSimulate:
             "--seed", "1", "--out", str(out), "--format", "ascii",
         )
         assert code == 0
-        assert len(streamio.read_ascii_bits(out)) == 997
+        assert len(file_bits(out)) == 997
 
 
 class TestExtract:
@@ -157,7 +158,7 @@ class TestExtract:
         meta = streamio.read_meta(bits)
         assert meta["block_len"] == 4
         assert meta["total_bits"] > 0
-        assert streamio.read_bits(bits).size == meta["total_bits"]
+        assert file_bits(bits).size == meta["total_bits"]
 
     def test_merge_two_channels_round_robin(self, tmp_path, capsys):
         streams = self._simulate(tmp_path, capsys, scenario="b")
@@ -258,7 +259,7 @@ class TestExtract:
 
 
     def test_bad_character_after_the_first_read_block(self, tmp_path, capsys):
-        # the count pass finds it before any output exists, at its file offset
+        # the feed that reaches it stops the run before any output exists, at its file offset
         data = bytearray(b"0110\n" * 30_000)
         at = len(data) - 7
         data[at] = ord("2")
@@ -274,6 +275,39 @@ class TestExtract:
         assert f"byte offset {at})" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
+    def test_ascii_input_is_parsed_once(self, tmp_path, capsys, monkeypatch):
+        # no counting pass: the bytes parsed add up to the file size
+        windows = tmp_path / "w.txt"
+        run(capsys, "simulate", "--scenario", "a", "--windows", "150001", "--seed", "1",
+            "--out", str(windows), "--format", "ascii")
+        parse = streamio.parse_ascii_bits
+        parsed = []
+
+        def counted(data, *args):
+            parsed.append(len(data))
+            return parse(data, *args)
+
+        monkeypatch.setattr(streamio, "parse_ascii_bits", counted)
+        code, _, _ = run(capsys, "extract", str(windows), "-N", "4", "--chunk-windows", "4096",
+                         "--out", str(tmp_path / "o.bin"))
+        assert code == 0
+        assert sum(parsed) == windows.stat().st_size > streamio._ASCII_READ
+
+    @pytest.mark.parametrize("extra", [1, 288, 4096])
+    def test_round_robin_unequal_counts_leave_nothing(self, tmp_path, capsys, extra):
+        # an ASCII input and a TIMEBIN1 one that holds ``extra`` windows more;
+        # found by the feed where their chunk counts first differ
+        (stream,) = self._simulate(tmp_path, capsys, windows=12_000 + extra)
+        windows = tmp_path / "w.txt"
+        streamio.write_ascii_bits(windows, file_bits(stream)[:12_000])
+        before = sorted(p.name for p in tmp_path.iterdir())
+        for inputs in ([windows, stream], [stream, windows]):
+            code, _, err = run(capsys, "extract", *map(str, inputs), "-N", "17",
+                               "--chunk-windows", "4096", "--out", str(tmp_path / "o.bin"))
+            assert code == 2
+            assert "equal window counts per channel" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("fmt", ["packed", "ascii"])
     def test_input_shrinking_after_the_first_feed_leaves_nothing(
         self, tmp_path, capsys, monkeypatch, fmt
@@ -282,7 +316,7 @@ class TestExtract:
         # its end once the first chunks are fed
         streams = self._simulate(tmp_path, capsys, scenario="b", windows=40_000)
         streams.append(tmp_path / "s.ch1.txt")
-        streamio.write_ascii_bits(streams[-1], streamio.read_stream(streams[1]).windows)
+        streamio.write_ascii_bits(streams[-1], file_bits(streams[1]))
         shrinking = streams[0]
         data = shrinking.read_bytes()
         real = streamio.iter_stream_payload
@@ -320,7 +354,7 @@ class TestExtractMemory:
             assert main(["simulate", "--scenario", "b", "--windows", str(windows), "--seed", "3",
                          "--out", str(stream)]) == 0
             streamio.write_ascii_bits(d / f"b{windows}.ch1.txt",
-                                      streamio.read_stream(d / f"b{windows}.ch1.tbd1").windows)
+                                      file_bits(d / f"b{windows}.ch1.tbd1"))
         return d
 
     CASES = {
@@ -451,6 +485,26 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(bits))
         assert code == 2
 
+    def test_ascii_extract_over_a_packed_one_reads_as_ascii(self, tmp_path, capsys):
+        # a packed run, then an ASCII run to the same path: analyze reads the
+        # ASCII codes, through the sidecar the ASCII run wrote
+        stream, packed = self._bits_file(tmp_path, capsys, windows=200_000)
+        packed_meta = streamio.read_meta(packed)
+        out = tmp_path / "v.bin"
+        assert run(capsys, "extract", str(stream), "-N", "16", "--out", str(out))[0] == 0
+        assert run(capsys, "extract", str(stream), "-N", "4", "--format", "ascii",
+                   "--out", str(out))[0] == 0
+        meta = streamio.read_meta(out)
+        assert set(meta) == set(packed_meta)
+        assert meta["format"] == "ascii"
+        assert meta["total_bits"] == meta["stats"]["bits_emitted"] == out.stat().st_size
+        code, out_text, err = run(capsys, "analyze", str(out), "--sanity")
+        assert err == "" and code in (0, 1)
+        ((name, values),) = parse_report(out_text)
+        assert values["n_bits"] == out.stat().st_size
+        assert values["monobit_z"] == pytest.approx(sanity_tests(file_bits(out)).monobit_z,
+                                                    rel=1e-5)
+
     def test_report_file(self, tmp_path, capsys):
         _, bits = self._bits_file(tmp_path, capsys, windows=200_000)
         report = tmp_path / "report.txt"
@@ -520,13 +574,13 @@ class TestAnalyzeReport:
         for name, values in sections:
             assert list(values) == REPORT_KEYS[name]
         ent, san = (values for _, values in sections)
-        lib = min_entropy(streamio.read_bits(bits), 4)
+        lib = min_entropy(file_bits(bits), 4)
         assert ent["word_bits"] == 4 and ent["word_count"] == lib.word_count
         for key in ("min_entropy", "deviation", "stat_error_scale"):
             assert ent[key] == pytest.approx(getattr(lib, key), rel=1e-5, abs=1e-6)
         assert ent["bound_5x_scale"] == pytest.approx(5 * lib.stat_error_scale, rel=1e-5)
         assert ent["pass"] is (lib.deviation < 5 * lib.stat_error_scale)
-        lib = sanity_tests(streamio.read_bits(bits))
+        lib = sanity_tests(file_bits(bits))
         assert san["n_bits"] == lib.n_bits
         for key in ("monobit_z", "runs_z", "lag1_z"):
             assert san[key] == pytest.approx(getattr(lib, key), rel=1e-5, abs=5e-5)
@@ -538,7 +592,7 @@ class TestAnalyzeReport:
         code, out_text, _ = run(capsys, "analyze", str(stream), "--uniformity", "-N", "3")
         ((name, values),) = parse_report(out_text)
         assert name == "uniformity" and list(values) == REPORT_KEYS[name]
-        lib = uniformity_matrix(streamio.read_stream(stream), 3)
+        lib = uniformity_matrix(DetectionStream(file_bits(stream)), 3)
         assert values["block_len"] == 3 and values["pair_count"] == lib.pair_count
         for key in ("symmetry_deviation", "independence_deviation", "subblock_max_z"):
             assert values[key] == pytest.approx(getattr(lib, key), rel=1e-5, abs=5e-5)
@@ -588,22 +642,27 @@ class TestAnalyzeReport:
     @pytest.mark.parametrize(
         "name, kind, checks",
         [
-            ("read_bits", "bits", ["--min-entropy", "--sanity"]),
-            ("read_ascii_bits", "ascii", ["--min-entropy", "--uniformity", "--sanity"]),
+            ("iter_stream_payload", "stream", ["--min-entropy", "--uniformity", "--sanity"]),
+            ("iter_bits_payload", "bits", ["--min-entropy", "--sanity"]),
+            ("iter_ascii_payload", "ascii", ["--min-entropy", "--uniformity", "--sanity"]),
         ],
     )
     def test_reads_the_input_once(self, analyze_inputs, capsys, monkeypatch, name, kind, checks):
+        # one chunk reader, each of whose windows or bits is read once
         reader = getattr(streamio, name)
-        calls = []
+        calls, counts = [], []
 
-        def counted(path):
+        def counted(path, *args, **kwargs):
             calls.append(path)
-            return reader(path)
+            for payload, count in reader(path, *args, **kwargs):
+                counts.append(count)
+                yield payload, count
 
         monkeypatch.setattr(streamio, name, counted)
         code, out_text, _ = run(capsys, "analyze", str(analyze_inputs[kind]), *checks)
         assert len(parse_report(out_text)) == len(checks)
         assert len(calls) == 1
+        assert sum(counts) == file_bits(analyze_inputs[kind]).size
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -621,8 +680,8 @@ class TestAnalyzeReport:
         def unread(*args, **kwargs):
             raise AssertionError("the input was read")
 
-        for reader in ("is_tbd1", "read_bits", "read_ascii_bits", "read_stream",
-                       "read_stream_header"):
+        for reader in ("is_tbd1", "packed_bits_meta", "read_stream_header", "iter_stream_payload",
+                       "iter_bits_payload", "iter_ascii_payload"):
             monkeypatch.setattr(streamio, reader, unread)
         report = tmp_path / "report.txt"
         code, out_text, err = run(capsys, "analyze", str(analyze_inputs["stream"]), *argv,

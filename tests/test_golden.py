@@ -34,6 +34,8 @@ from timebinrng import source_sim, streamio
 from timebinrng.cli import main
 from timebinrng.source_sim import LIT_MODULATION
 
+from oracles import file_bits
+
 SEED = 20261018
 WINDOWS = 200_003  # no multiple of 8 or of any n below: every case has a partial tail
 CHUNKS = (WINDOWS, 4_104)  # one feed, and many that split blocks and bytes
@@ -214,9 +216,7 @@ CLI_CASES = {
 def test_cli_streams(cli_streams):
     for name in ("b.ch0.tbd1", "b.ch1.tbd1"):
         assert _sha((cli_streams / name).read_bytes()) == CLI_BYTES[name]
-    assert np.array_equal(
-        streamio.read_ascii_bits(cli_streams / "b.ch0.txt"), _windows("b", 0)
-    )
+    assert np.array_equal(file_bits(cli_streams / "b.ch0.txt"), _windows("b", 0))
 
 
 @pytest.mark.parametrize("chunk", (1 << 24, 4_104))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from timebinrng import DetectionStream, DomainError, StreamFormatError, export_nist, extract
-from timebinrng import streamio
+from timebinrng import cli, streamio
+
+from oracles import file_bits
 
 
 def random_stream(n, seed=0, channel=2, period=1e-6):
@@ -25,10 +27,12 @@ class TestTbd1:
         s = random_stream(n)
         path = tmp_path / "s.tbd1"
         streamio.write_stream(path, s)
-        back = streamio.read_stream(path)
-        assert np.array_equal(back.windows, s.windows)
-        assert back.channel_id == s.channel_id
-        assert back.window_period == pytest.approx(s.window_period)
+        count, period_ns, channel = streamio.read_stream_header(path)
+        assert np.array_equal(file_bits(path), s.windows)
+        payload = b"".join(p.tobytes() for p, _ in streamio.iter_stream_payload(path, 1024))
+        assert payload == np.packbits(s.windows).tobytes()
+        assert channel == s.channel_id
+        assert period_ns * 1e-9 == pytest.approx(s.window_period)
 
     def test_header_fields(self, tmp_path):
         path = tmp_path / "s.tbd1"
@@ -71,7 +75,7 @@ class TestTbd1:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 40)
         with pytest.raises(StreamFormatError) as err:
-            streamio.read_stream(path)
+            list(streamio.iter_stream_payload(path))
         assert err.value.offset == 0
 
     def test_truncated_payload_names_offset(self, tmp_path):
@@ -80,7 +84,7 @@ class TestTbd1:
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(StreamFormatError) as err:
-            streamio.read_stream(path)
+            list(streamio.iter_stream_payload(path))
         assert err.value.offset == len(data) - 10
 
     def test_unclosed_writer_is_rejected(self, tmp_path):
@@ -110,7 +114,7 @@ class TestTbd1:
         data[-1] |= 0x01
         path.write_bytes(bytes(data))
         with pytest.raises(StreamFormatError) as err:
-            streamio.read_stream(path)
+            list(streamio.iter_stream_payload(path))
         assert err.value.offset == len(data) - 1
 
     def test_payload_shrinking_after_the_header_read_names_offset(self, tmp_path):
@@ -161,7 +165,8 @@ class TestAscii:
         path = tmp_path / "bits.txt"
         streamio.write_ascii_bits(path, [1, 1, 1])
         assert path.read_bytes() == b"111"
-        assert streamio.read_ascii_bits(path).tolist() == [1, 1, 1]
+        assert file_bits(path).tolist() == [1, 1, 1]
+        assert [(p.tobytes(), c) for p, c in streamio.iter_ascii_payload(path)] == [(b"\xe0", 3)]
 
     def test_whitespace_tolerated(self):
         got = streamio.parse_ascii_bits(b"10 1\n1\r\n\t0")
@@ -182,9 +187,9 @@ class TestAscii:
         path = tmp_path / "w.txt"
         path.write_bytes(text.tobytes())
         monkeypatch.setattr(streamio, "_ASCII_READ", read)
-        windows = streamio.read_ascii_bits(path)
+        windows = file_bits(path)
         chunks = list(streamio.iter_ascii_payload(path, chunk))
-        assert streamio.count_ascii_bits(path) == windows.size
+        assert sum(count for _, count in chunks) == windows.size
         assert [count for _, count in chunks[:-1]] == [chunk] * (len(chunks) - 1)
         assert 0 < chunks[-1][1] <= chunk
         got = np.concatenate([np.unpackbits(payload)[:count] for payload, count in chunks])
@@ -197,9 +202,9 @@ class TestAscii:
         path = tmp_path / "w.txt"
         path.write_bytes(bytes(data))
         monkeypatch.setattr(streamio, "_ASCII_READ", 64)
-        for read in (streamio.count_ascii_bits, lambda p: list(streamio.iter_ascii_payload(p, 8))):
+        for chunk in (8, 1 << 10):  # the offset whether or not a chunk was yielded before it
             with pytest.raises(StreamFormatError, match="invalid character 'x'") as err:
-                read(path)
+                list(streamio.iter_ascii_payload(path, chunk))
             assert err.value.offset == at
 
 
@@ -212,8 +217,11 @@ class TestBitFiles:
         meta = streamio.read_meta(path)
         assert meta["total_bits"] == out.total_bits
         assert meta["stats"]["bits_emitted"] == out.stats.bits_emitted
-        back = streamio.read_bits(path)
-        assert np.array_equal(back, out.bit_array())
+        assert np.array_equal(file_bits(path), out.bit_array())
+        chunks = list(streamio.iter_bits_payload(path, 64))
+        assert [count for _, count in chunks[:-1]] == [64] * (len(chunks) - 1)
+        assert sum(count for _, count in chunks) == out.total_bits
+        assert b"".join(p.tobytes() for p, _ in chunks) == out.data
 
     def test_sidecar_keys(self, tmp_path):
         # extract's sidecar and the exported bit file's share one writer
@@ -232,7 +240,9 @@ class TestBitFiles:
         out = extract(random_stream(1000))
         path = tmp_path / "bits.txt"
         streamio.write_bit_output(path, out, fmt="ascii")
-        assert np.array_equal(streamio.read_bits(path), out.bit_array())
+        assert np.array_equal(file_bits(path), out.bit_array())
+        payload = b"".join(p.tobytes() for p, _ in streamio.iter_ascii_payload(path, 64))
+        assert payload == out.data
 
     def test_sidecar_format_decides_the_kind(self, tmp_path):
         # simulate --format ascii leaves a sidecar beside its ASCII windows
@@ -240,18 +250,20 @@ class TestBitFiles:
         streamio.write_ascii_bits(path, [1, 0, 0, 1, 1])
         streamio.write_meta(path, {"command": "simulate", "format": "ascii"})
         assert streamio.packed_bits_meta(path) is None
-        assert streamio.read_bits(path).tolist() == [1, 0, 0, 1, 1]
+        kind, _, chunks = cli._open_input(path, 8)
+        assert kind is None and [(p.tobytes(), c) for p, c in chunks] == [(b"\x98", 5)]
         packed = tmp_path / "bits.bin"
         streamio.write_packed_bits(packed, b"\x98", 5)
         assert streamio.packed_bits_meta(packed)["format"] == streamio.PACKED_BITS
-        assert streamio.read_bits(packed).tolist() == [1, 0, 0, 1, 1]
+        kind, _, chunks = cli._open_input(packed, 8)
+        assert kind == "bits" and [(p.tobytes(), c) for p, c in chunks] == [(b"\x98", 5)]
 
     def test_sidecar_bit_count_validated(self, tmp_path):
         path = tmp_path / "bits.bin"
         path.write_bytes(b"\xff")
         streamio.write_meta(path, {"total_bits": 99})
         with pytest.raises(StreamFormatError):
-            streamio.read_bits(path)
+            list(streamio.iter_bits_payload(path))
 
     @pytest.mark.parametrize(
         "sidecar, offset",
@@ -271,7 +283,7 @@ class TestBitFiles:
         path.write_bytes(b"\xff")
         streamio.meta_path(path).write_bytes(sidecar)
         with pytest.raises(StreamFormatError) as err:
-            streamio.read_bits(path)
+            list(streamio.iter_bits_payload(path))
         assert err.value.offset == offset
 
     @pytest.mark.parametrize("total_bits, data, offset", [
@@ -285,7 +297,7 @@ class TestBitFiles:
         path.write_bytes(data)
         streamio.write_meta(path, {"total_bits": total_bits})
         with pytest.raises(StreamFormatError) as err:
-            streamio.read_bits(path)
+            list(streamio.iter_bits_payload(path))
         assert err.value.offset == offset
 
 
@@ -308,6 +320,26 @@ class TestAtomicOutputs:
                 raise RuntimeError("source failed")
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_rewrite_keeps_old_output_and_sidecar(self, tmp_path):
+        path = tmp_path / "bits.bin"
+        streamio.write_packed_bits(path, b"\x98", 5)
+        files = [path, streamio.meta_path(path)]
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(RuntimeError):
+            with streamio.atomic_open(path) as fh:
+                fh.write(b"10011")
+                raise RuntimeError("source failed")
+        assert [f.read_bytes() for f in files] == before
+        assert sorted(tmp_path.iterdir()) == sorted(files)
+
+    def test_rewrite_drops_the_old_sidecar(self, tmp_path):
+        # an ASCII file written over a packed one is not read through its sidecar
+        path = tmp_path / "bits.bin"
+        export_nist(np.ones(16, dtype=np.uint8), path, "packed")
+        export_nist(np.array([1, 0, 0, 1, 1], dtype=np.uint8), path, "ascii")
+        assert list(tmp_path.iterdir()) == [path]
+        assert [(p.tobytes(), c) for p, c in cli._open_input(path, 8)[2]] == [(b"\x98", 5)]
 
     def test_stream_appears_only_on_close(self, tmp_path):
         path = tmp_path / "s.tbd1"
@@ -378,8 +410,9 @@ class TestReaderFuzz:
         path.write_bytes(data)
         only_format_errors(streamio.read_stream_header, path)
         only_format_errors(lambda: list(streamio.iter_stream_windows(path, chunk_windows=16)))
-        only_format_errors(streamio.read_stream, path)
-        only_format_errors(streamio.read_bits, path)
+        only_format_errors(lambda: list(streamio.iter_stream_payload(path, chunk_windows=16)))
+        only_format_errors(lambda: list(streamio.iter_ascii_payload(path, chunk_windows=16)))
+        only_format_errors(lambda: list(cli._open_input(path, 16)[2]))
 
     @fuzz
     @given(data=damaged(VALID_PACKED), sidecar=st.just(VALID_SIDECAR) | damaged(VALID_SIDECAR))
@@ -387,7 +420,8 @@ class TestReaderFuzz:
         path = tmp_path / "bits.bin"
         path.write_bytes(data)
         streamio.meta_path(path).write_bytes(sidecar)
-        only_format_errors(streamio.read_bits, path)
+        only_format_errors(lambda: list(streamio.iter_bits_payload(path, chunk_windows=8)))
+        only_format_errors(lambda: list(cli._open_input(path, 8)[2]))
 
     @fuzz
     @given(data=damaged(VALID_ASCII))
@@ -395,13 +429,16 @@ class TestReaderFuzz:
         only_format_errors(streamio.parse_ascii_bits, data)
         path = tmp_path / "bits.txt"
         path.write_bytes(data)
-        only_format_errors(streamio.read_bits, path)
+        only_format_errors(lambda: list(streamio.iter_ascii_payload(path, chunk_windows=8)))
+        only_format_errors(lambda: list(cli._open_input(path, 8)[2]))
 
     def test_valid_files_read_back(self, tmp_path):
         path = tmp_path / "s.tbd1"
         path.write_bytes(VALID_TBD1)
-        assert np.array_equal(streamio.read_stream(path).windows, _WINDOWS)
+        chunks = [(p.tobytes(), c) for p, c in streamio.iter_stream_payload(path)]
+        assert chunks == [(np.packbits(_WINDOWS).tobytes(), 45)]
         path = tmp_path / "bits.bin"
         path.write_bytes(VALID_PACKED)
         streamio.meta_path(path).write_bytes(VALID_SIDECAR)
-        assert np.array_equal(streamio.read_bits(path), _WINDOWS[:13])
+        chunks = [(p.tobytes(), c) for p, c in streamio.iter_bits_payload(path)]
+        assert chunks == [(np.packbits(_WINDOWS[:13]).tobytes(), 13)]
