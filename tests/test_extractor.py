@@ -567,6 +567,31 @@ class TestLargeBlocks:
             out = extract(DetectionStream(row), n)
             assert (out.data, out.total_bits) == pack_reference([naive_encode(n, row.tolist())])
 
+    def test_ranks_that_round_down_as_floats(self):
+        # f XOR C(n, k) = 2^e + d has more than 53 bits, so float64 rounds it
+        # to 2^e or just above: the bit length must stay e + 1, which a check
+        # for an exact power of two in the float alone would read as e
+        cases = 0
+        for n in range(2, MAX_BLOCK_LEN + 1):
+            rows, widths = [], []
+            for k in range(1, n):
+                c = math.comb(n, k)
+                e = c.bit_length() - 1
+                if e >= 53:
+                    for d in (1, 2, 3):
+                        rank = ((1 << e) + d) ^ c  # below 2^e, in the top subblock
+                        row = np.zeros(n, dtype=np.uint8)
+                        row[np.array(unrank_combination(n, k, rank).positions) - 1] = 1
+                        rows.append(row)
+                        widths.append(e)
+            if rows:
+                frags = [naive_encode(n, row.tolist()) for row in rows]
+                assert [width for _, width in frags] == widths
+                out = extract(DetectionStream(np.concatenate(rows)), n)
+                assert (out.data, out.total_bits) == pack_reference(frags)
+                cases += len(rows)
+        assert cases > 300
+
     @pytest.mark.parametrize("n", [16, 17, 24, 33, 64])
     def test_vectorized_matches_scalar(self, n):
         rng = np.random.default_rng(n)
@@ -836,6 +861,27 @@ class TestMergerOracle:
         data_, total_bits, stats = reference_merge(chans, n, policy)
         assert (out.data, out.total_bits) == (data_, total_bits)
         assert vars(out.stats) == stats
+        assert all(np.array_equal(w, o) for w, o in zip(chans, originals))
+
+    @pytest.mark.parametrize("n_channels", [2, 3])
+    @pytest.mark.parametrize("n", [57, 63, 64])
+    def test_empty_and_full_blocks_among_live_ones(self, n, n_channels):
+        # k = 0 words wrap below zero when one is taken off, and at n = 64
+        # the all-ones word is the mask itself: both must drop, in place,
+        # whatever channel and block they fall on, the live ones kept in order
+        rng = np.random.default_rng(n + n_channels)
+        kinds = rng.integers(0, 4, (n_channels, 40))  # 0 empty, 1 full, else random
+        chans = []
+        for row in kinds:
+            blocks = (rng.random((row.size, n)) < 0.5).astype(np.uint8)
+            blocks[row == 0], blocks[row == 1] = 0, 1
+            chans.append(np.append(blocks.ravel(), rng.integers(0, 2, 5, dtype=np.uint8)))
+        originals = [w.copy() for w in chans]
+        out = merge_channels([DetectionStream(w) for w in chans], n)
+        data_, total_bits, stats = reference_merge(chans, n, "round-robin-block")
+        assert (out.data, out.total_bits) == (data_, total_bits)
+        assert vars(out.stats) == stats
+        assert stats["blocks_discarded_k0_kn"] == np.count_nonzero(kinds < 2)
         assert all(np.array_equal(w, o) for w, o in zip(chans, originals))
 
     def test_premerge_fills_whole_words(self):
