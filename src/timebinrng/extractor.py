@@ -19,8 +19,8 @@ table-driven codec serves every n in 2..64 (see :class:`_BlockCodec`), up
 to 16 windows per lookup for n <= 16.  Round-robin merging interleaves the
 channels' blocks, not their windows: 64-bit block words for n > 16, n-bit
 values for n <= 16.  Neighbouring fragments are joined pairwise while the
-result surely fits 64 bits, then ORed into big-endian 64-bit words, most
-significant bit first.  The tests check this codec against the
+result surely fits 64 bits, then scatter-added, which ORs them, into
+big-endian 64-bit words, most significant bit first.  The tests check this codec against the
 brute-force encoder in ``tests/oracles.py``.
 """
 
@@ -124,7 +124,8 @@ def as_bit_array(windows) -> np.ndarray:
 def fragments_to_bit_array(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Expand fragments to their MSB-first bit sequence, concatenated."""
     packer = BitPacker()
-    packer.add(values, lengths)
+    # copies, since the packer may overwrite the arrays it is given
+    packer.add(np.array(values, dtype=np.uint64), np.array(lengths, dtype=np.int64))
     return unpack_bits(packer.getvalue(), packer.bit_length)
 
 
@@ -177,13 +178,16 @@ class BitPacker:
 
     Fragments are ORed into big-endian 64-bit words at their bit offsets;
     fewer than 64 bits carry over to the next pass, so feeding the same
-    fragments in any chunking yields identical bytes.  No fragment
-    outgrows a word, so a pass finds each word's last fragment where
-    the start's word number changes; a word is the sum of the pieces
-    that start in it, from running sums, plus the spill of the previous
-    word's last fragment.  Calls are queued and packed together once
-    ``_BATCH`` fragments wait, or when the bits are read, since each
-    pass costs tens of microseconds however few fragments it packs.
+    fragments in any chunking yields identical bytes.  One running sum
+    of the widths gives each fragment's end.  No fragment outgrows a
+    word, so it lands in two words at most: its last (end mod 64) bits
+    go to the top of the word its end falls in, the rest to the bottom
+    of the word before.  Pieces that share a word are disjoint, so a pass
+    scatter-adds them into zeroed words (``np.add.at``), which ORs them.
+    Calls are queued and packed together once ``_BATCH`` fragments wait,
+    or when the bits are read, since each pass costs tens of
+    microseconds however few fragments it packs; a lone queued call is
+    packed in its own arrays, several are joined first.
 
     Each pass hands its whole words, as one big-endian word array, to
     ``sink.write`` and keeps only the pending bits, which :meth:`close`
@@ -207,8 +211,9 @@ class BitPacker:
     def add(self, values: np.ndarray, lengths: np.ndarray) -> None:
         """Append fragments; each value must fit its width, 0..64 bits.
 
-        The arrays are read when the queue is packed, so they must not
-        change until then."""
+        The packer owns the arrays it is given: it reads them when the
+        queue is packed and may overwrite them then, so the caller must
+        neither change nor read them again."""
         lengths = np.asarray(lengths, dtype=np.int64)
         self._queue.append((np.asarray(values, dtype=np.uint64), lengths))
         self._queued += lengths.size
@@ -220,40 +225,32 @@ class BitPacker:
             self._queue = []
             return
         work, size = self._work, self._queued
-        queued_values, queued_lengths = zip(*self._queue)
-        # the codec's slots, dead once its encode has returned (the queued
-        # arrays are never slots)
-        values = np.concatenate(queued_values, out=work("f", size, np.uint64))
-        lengths = np.concatenate(queued_lengths, out=work("index", size, np.int64))
+        if len(self._queue) == 1:  # packed in place
+            (values, lengths), = self._queue
+        else:  # joined in the codec's slots, dead once its encode has returned
+            queued_values, queued_lengths = zip(*self._queue)
+            values = np.concatenate(queued_values, out=work("f", size, np.uint64))
+            lengths = np.concatenate(queued_lengths, out=work("index", size, np.int64))
         self._queue, self._queued = [], 0
         pending = self._bits % 64
+        lengths[0] += pending  # lengths are dead once summed
         ends = np.cumsum(lengths, out=work("K", size, np.int64))
-        ends += pending
         total = int(ends[-1])
-        starts = np.subtract(ends, lengths, out=ends)
-        values <<= np.subtract(64, lengths, out=lengths).view(np.uint64)  # left-aligned in a word
-        offset = np.bitwise_and(starts, 63, out=lengths).view(np.uint64)
-        # no fragment outgrows a word, so every word up to the last start
-        # holds a start, and only the last fragment to start in a word can
-        # spill into the next one (two shifts: at offset 0 one would be 64)
-        word = np.right_shift(starts, 6, out=starts)
-        closes = work("closes", size, np.bool_)
-        np.not_equal(word[1:], word[:-1], out=closes[:-1])
-        closes[-1] = True
-        last = np.flatnonzero(closes)
-        spill = values.take(last, out=work("term", last.size, np.uint64), mode="clip")
-        spill <<= np.uint64(1)
-        spill <<= np.subtract(np.uint64(63), offset.take(last, mode="clip"))
-        # at their offsets a word's pieces are disjoint, so their sum is
-        # their OR: each word is a difference of running sums, exact
-        # modulo 2^64
-        values >>= offset
-        sums = np.cumsum(values, out=values).take(last, mode="clip")
-        words = np.zeros(last.size + 1, dtype=np.uint64)
-        words[:-1] = sums
-        words[1:-1] -= sums[:-1]
-        words[0] |= self._carry
-        words[1:] |= spill
+        shift = np.bitwise_and(ends, 63, out=lengths).view(np.uint64)
+        word = np.right_shift(ends, 6, out=ends)
+        # no fragment outgrows a word: its low `shift` bits start its end's
+        # word (two shifts: at shift 0 one would be 64), the rest end the
+        # word before
+        tail = np.left_shift(values, np.uint64(1), out=work("term", size, np.uint64))
+        values >>= shift
+        tail <<= np.subtract(np.uint64(63), shift, out=shift)
+        # at their offsets the pieces in a word are disjoint, so adding them
+        # ORs them; word j is words[j + 1]
+        words = np.zeros((total >> 6) + 2, dtype=np.uint64)
+        words[1] = self._carry
+        np.add.at(words, word, values)
+        words = words[1:]
+        np.add.at(words, word, tail)
         self._carry = words[total >> 6]
         full = words[: total >> 6]
         if _LITTLE:
@@ -283,15 +280,16 @@ class BitPacker:
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, dtype=np.intp)
 # _POW2[e] = 2^(e-1), the least integer of bit length e (0 for e = 0)
 _POW2 = np.array([0] + [1 << e for e in range(64)], dtype=np.uint64)
-_LOW = np.maximum(_POW2, 1) - np.uint64(1)  # _LOW[e] = 2^(e-1) - 1, masks f mod 2^(e-1)
 _SPAN = 16  # most windows per folded table index
 _INTERLEAVE = 1 << 20  # windows per channel interleaved at a time
 _SPILL_BLOCK = 1 << 18  # bytes of a spilled channel appended at a time, whole words
 
 
-def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
+def _block_words(packed: np.ndarray, n: int, n_blocks: int, out=None) -> np.ndarray:
     """The n-window blocks of an MSB-first packed stream in the n leading
-    bits of uint64 words; the bits after them are not specified.
+    bits of uint64 words, the first ``n_blocks`` entries of ``out`` (1-D,
+    at least n_blocks rounded up to 8 long, of any stride) or of a new
+    array; the bits after the blocks are not specified.
 
     Where 8 divides n, every block starts on a byte: one big-endian 8-byte
     read every n // 8 bytes, of the row itself unless the last reads run
@@ -300,17 +298,19 @@ def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
     one strided big-endian 8-byte read and one shift, plus a ninth byte
     where bit + n > 64.
     """
+    groups = -(-n_blocks // 8)
+    out = np.empty(8 * groups, dtype=np.uint64) if out is None else out
     if not n_blocks:
-        return np.zeros(0, dtype=np.uint64)
+        return out[:0]
     if n % 8 == 0:
         end = (n_blocks - 1) * (n // 8) + 8  # where the last read ends
         if packed.size < end:
             packed = np.concatenate((packed, np.zeros(end - packed.size, np.uint8)))
-        return np.ndarray(n_blocks, ">u8", packed, 0, (n // 8,)).astype(np.uint64)
-    groups = -(-n_blocks // 8)
+        out[:n_blocks] = np.ndarray(n_blocks, ">u8", packed, 0, (n // 8,))
+        return out[:n_blocks]
     buf = np.zeros(groups * n + 8, dtype=np.uint8)  # room for the last row's reads
     buf[: packed.size] = packed
-    words = np.empty((groups, 8), dtype=np.uint64)
+    words = out[: 8 * groups].reshape(groups, 8)  # a view, whatever the stride
     for r in range(8):
         byte, bit = divmod(r * n, 8)
         col = np.ndarray(groups, ">u8", buf, byte, (n,)).astype(np.uint64)
@@ -318,12 +318,7 @@ def _block_words(packed: np.ndarray, n: int, n_blocks: int) -> np.ndarray:
         if bit + n > 64:
             col |= buf[byte + 8 :: n][:groups] >> (8 - bit)
         words[:, r] = col
-    return words.reshape(-1)[:n_blocks]
-
-
-def _interleave(per_channel: list[np.ndarray]) -> np.ndarray:
-    """Equal-length per-channel arrays of blocks in (block, channel) order."""
-    return per_channel[0] if len(per_channel) == 1 else np.stack(per_channel, axis=1).ravel()
+    return out[:n_blocks]
 
 
 def _premerge(values: np.ndarray, widths: np.ndarray, levels: int):
@@ -350,7 +345,8 @@ class _BlockCodec:
     its first, so one add, K + byte, indexes both the column's table and
     ``_next``, one table for all columns that holds the next column's K,
     256 * (k_after + popcount(byte)): a column costs one add and two
-    gathers, and k = K >> 8 at the end.  The subblock is closed-form: the
+    gathers (the last column, at K = 0, only its two gathers), and
+    k = K >> 8 at the end.  The subblock is closed-form: the
     fragment width is bit_length(f XOR C(n, k)) - 1 and its value
     f mod 2^width.
 
@@ -424,8 +420,11 @@ class _BlockCodec:
         block_bytes = block_bytes[:, ::-1] if _LITTLE else block_bytes  # most significant first
         index, term = work("index", size, np.intp, room), work("term", size, np.uint64, room)
         f, K = work("f", size, np.uint64, room), work("K", size, np.intp, room)  # K = 256 * k_after
-        f[...], K[...] = 0, 0
-        for c in range(self._tables.shape[0] - 1, -1, -1):
+        last = self._tables.shape[0] - 1
+        index[...] = block_bytes[:, last]  # k_after = 0
+        self._tables[last].take(index, out=f, mode="clip")
+        self._next.take(index, out=K, mode="clip")
+        for c in range(last - 1, -1, -1):
             np.add(K, block_bytes[:, c], out=index)
             f += self._tables[c].take(index, out=term, mode="clip")
             self._next.take(index, out=K, mode="clip")
@@ -439,9 +438,10 @@ class _BlockCodec:
         np.frexp(mantissa, out=(mantissa, length))
         if self._rounds:
             length -= x < _POW2[length]
-        values = f & _LOW.take(length, out=term, mode="clip")
-        length -= 1
-        return values, length.astype(np.int8)
+        length -= 1  # the width; values are f mod 2^width
+        mask = np.left_shift(np.uint64(1), length.view(np.uint64), out=term)
+        mask -= np.uint64(1)
+        return f & mask, length.astype(np.int8)
 
     def _index(self, packed: np.ndarray, n_blocks: int) -> np.ndarray:
         """Folded-table indices of ``per`` consecutive blocks each, from
@@ -463,7 +463,7 @@ class _BlockCodec:
         shifts = np.uint16(n) * np.arange(per - 1, -1, -1, dtype=np.uint16)
         blocks = np.stack(indices).astype(np.uint16)[:, :, None] >> shifts
         blocks &= np.uint16((1 << n) - 1)
-        blocks = _interleave(list(blocks.reshape(len(indices), -1)[:, :n_blocks]))
+        blocks = blocks.reshape(len(indices), -1)[:, :n_blocks].T.ravel()  # (block, channel)
         blocks = np.concatenate((blocks, np.zeros(-blocks.size % per, np.uint16)))
         index = blocks[0::per] << shifts[0]
         for j in range(1, per):
@@ -485,8 +485,17 @@ class _BlockCodec:
         packed = [rows] if isinstance(rows, np.ndarray) and rows.ndim == 1 else rows
         n_blocks = row_blocks * len(packed)
         if self._folded is None:
-            words = _interleave([_block_words(row, n, row_blocks) for row in packed]) & self._mask
-            live = (words != 0) & (words != self._mask)  # k = 0 and k = n emit nothing
+            work, rooms = work or _Workspace(), -(-row_blocks // 8) * 8
+            # each row's block words in its column of one (block, row) slot
+            slot = work("words", rooms * len(packed), np.uint64).reshape(-1, len(packed))
+            for column, row in zip(slot.T, packed):
+                _block_words(row, n, row_blocks, column)
+            words = slot[:row_blocks].reshape(-1)
+            if n < 64:
+                words &= self._mask
+            # k = 0 and k = n emit nothing: words 0 (which wraps) and the mask
+            live = np.subtract(words, np.uint64(1), out=work("term", n_blocks, np.uint64))
+            live = np.less(live, self._mask - np.uint64(1), out=work("live", n_blocks, np.bool_))
             if not live.all():
                 words = words[live]
             values, widths = self._encode_words(words, work, n_blocks)
