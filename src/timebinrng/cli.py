@@ -120,7 +120,7 @@ def _write_manifest(primary_out: str, argv: list[str], command: str, outputs: li
         "generator": GENERATOR_TAG,
         "outputs": outputs,
     }
-    streamio.write_json(str(primary_out) + ".manifest.json", manifest)
+    streamio.write_json(streamio.manifest_path(primary_out), manifest)
 
 
 def _parse_number(text: str, kind: str = "float"):
@@ -229,8 +229,9 @@ def _open_input(path, chunk_windows: int):
         header = streamio.read_stream_header(path)
         chunks = streamio.iter_stream_payload(path, chunk_windows, _header=header)
         return "windows", header[1] * 1e-9, chunks
-    if streamio.packed_bits_meta(path) is not None:
-        return "bits", None, streamio.iter_bits_payload(path, chunk_windows)
+    meta = streamio.packed_bits_meta(path)
+    if meta is not None:
+        return "bits", None, streamio.iter_bits_payload(path, chunk_windows, _meta=meta)
     return None, None, streamio.iter_ascii_payload(path, chunk_windows)
 
 

@@ -53,14 +53,15 @@ _ASCII_READ = 1 << 16  # bytes of ASCII text parsed, or of packed bits spelled o
 @contextmanager
 def atomic_open(path):
     """Binary file handle whose contents replace ``path`` on a clean exit,
-    after ``path``'s sidecar is removed; after an exception ``path`` and
-    its sidecar are left as they were."""
+    after ``path``'s sidecar and manifest are removed; after an exception
+    ``path``, its sidecar and its manifest are left as they were."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
-        meta_path(path).unlink(missing_ok=True)  # no new output beside an older run's sidecar
+        for record in (meta_path(path), manifest_path(path)):  # none of an older run's
+            record.unlink(missing_ok=True)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -73,6 +74,10 @@ def write_json(path, payload: dict) -> None:
 
 def meta_path(path) -> Path:
     return Path(str(path) + ".meta.json")
+
+
+def manifest_path(path) -> Path:
+    return Path(str(path) + ".manifest.json")
 
 
 def write_meta(path, payload: dict) -> None:
@@ -332,11 +337,17 @@ def packed_bits_meta(path):
     return meta if packed else None
 
 
-def iter_bits_payload(path, chunk_windows: int = 1 << 24) -> Iterator[tuple[np.ndarray, int]]:
+def iter_bits_payload(
+    path, chunk_windows: int = 1 << 24, *, _meta=None
+) -> Iterator[tuple[np.ndarray, int]]:
     """The bits of a packed bit file as :func:`iter_stream_payload` yields a
     TIMEBIN1 stream's windows.  Its sidecar must hold the bit count, and
-    the file exactly that many bits, zero padded."""
-    meta = packed_bits_meta(path)
+    the file exactly that many bits, zero padded.
+
+    ``_meta`` is what :func:`packed_bits_meta` returned for ``path``, from
+    a caller that read it already; it is not read a second time.
+    """
+    meta = packed_bits_meta(path) if _meta is None else _meta
     total_bits = meta.get("total_bits") if isinstance(meta, dict) else None
     if type(total_bits) is not int or total_bits < 0:
         raise StreamFormatError(

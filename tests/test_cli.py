@@ -1,5 +1,8 @@
+import contextlib
+import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -664,6 +667,19 @@ class TestAnalyzeReport:
         assert len(calls) == 1
         assert sum(counts) == file_bits(analyze_inputs[kind]).size
 
+    def test_reads_a_packed_sidecar_once(self, analyze_inputs, capsys, monkeypatch):
+        # the opener hands the sidecar it read to the bit reader
+        read_meta, calls = streamio.read_meta, []
+
+        def counted(path):
+            calls.append(path)
+            return read_meta(path)
+
+        monkeypatch.setattr(streamio, "read_meta", counted)
+        code, out_text, _ = run(capsys, "analyze", str(analyze_inputs["bits"]), "--sanity")
+        assert code in (0, 1) and [name for name, _ in parse_report(out_text)] == ["sanity"]
+        assert list(map(str, calls)) == [str(analyze_inputs["bits"])]
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -804,6 +820,54 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--windows", windows)
         assert code == 2
         assert "--windows" in err
+
+
+class TestInterruptedExtract:
+    def test_no_output_beside_another_runs_records(self, tmp_path, capsys, monkeypatch):
+        # an extract over an earlier one fails at each write and each rename
+        # of its output, sidecar and manifest in turn: the output that is left
+        # sits beside its own run's sidecar and manifest or beside none
+        stream = tmp_path / "s.tbd1"
+        run(capsys, "simulate", "--scenario", "a", "--windows", "40000", "--seed", "11",
+            "--out", str(stream))
+        out = tmp_path / "v.bin"
+        records = [out, streamio.meta_path(out), streamio.manifest_path(out)]
+        runs = {}
+        for block_len in ("16", "4"):  # the -N 4 run's files are the earlier ones
+            assert run(capsys, "extract", str(stream), "-N", block_len, "--out", str(out))[0] == 0
+            runs[block_len] = [r.read_bytes() for r in records]
+        assert runs["16"][0] != runs["4"][0]
+        atomic_open, replace = streamio.atomic_open, os.replace
+        steps, fail_at = itertools.count(), None
+
+        def step():
+            if next(steps) == fail_at:
+                raise OSError("injected failure")
+
+        @contextlib.contextmanager
+        def failing_open(path):
+            with atomic_open(path) as fh:
+                yield fh
+                step()  # the write
+
+        def failing_replace(src, dst):
+            step()  # the rename
+            replace(src, dst)
+
+        monkeypatch.setattr(streamio, "atomic_open", failing_open)
+        monkeypatch.setattr(os, "replace", failing_replace)
+        names = {p.name for p in tmp_path.iterdir()}
+        for fail_at in [*range(6), None]:
+            for record, data in zip(records, runs["4"]):
+                record.write_bytes(data)
+            steps = itertools.count()
+            with pytest.raises(OSError) if fail_at is not None else contextlib.nullcontext():
+                run(capsys, "extract", str(stream), "-N", "16", "--out", str(out))
+            left = [r.read_bytes() if r.exists() else None for r in records]
+            (own,) = [files for files in runs.values() if files[0] == left[0]]
+            assert all(data in (None, mine) for data, mine in zip(left[1:], own[1:])), fail_at
+            assert {p.name for p in tmp_path.iterdir()} <= names  # no temp file stays
+        assert next(steps) == 6 and left == runs["16"]
 
 
 class TestReproducibility:
