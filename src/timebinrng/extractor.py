@@ -463,7 +463,7 @@ class _BlockCodec:
         shifts = np.uint16(n) * np.arange(per - 1, -1, -1, dtype=np.uint16)
         blocks = np.stack(indices).astype(np.uint16)[:, :, None] >> shifts
         blocks &= np.uint16((1 << n) - 1)
-        blocks = blocks.reshape(len(indices), -1)[:, :n_blocks].T.ravel()  # (block, channel)
+        blocks = np.stack(list(blocks.reshape(len(indices), -1)[:, :n_blocks]), axis=1).ravel()
         blocks = np.concatenate((blocks, np.zeros(-blocks.size % per, np.uint16)))
         index = blocks[0::per] << shifts[0]
         for j in range(1, per):
