@@ -249,10 +249,9 @@ class BitPacker:
         words = np.zeros((total >> 6) + 2, dtype=np.uint64)
         words[1] = self._carry
         np.add.at(words, word, values)
-        words = words[1:]
-        np.add.at(words, word, tail)
-        self._carry = words[total >> 6]
-        full = words[: total >> 6]
+        np.add.at(words[1:], word, tail)
+        self._carry = words[(total >> 6) + 1]
+        full = words[1 : (total >> 6) + 1]
         if _LITTLE:
             full.byteswap(inplace=True)  # big-endian words, in place
         self._write(full)
@@ -436,8 +435,9 @@ class _BlockCodec:
         mantissa = work("mantissa", size, np.float64, room)
         mantissa[...] = x
         np.frexp(mantissa, out=(mantissa, length))
-        if self._rounds:
-            length -= x < _POW2[length]
+        if self._rounds:  # only a float rounded up to a power of two can read high
+            fix = np.flatnonzero(mantissa == 0.5)
+            length[fix] -= x[fix] < _POW2[length[fix]]
         length -= 1  # the width; values are f mod 2^width
         mask = np.left_shift(np.uint64(1), length.view(np.uint64), out=term)
         mask -= np.uint64(1)
@@ -479,15 +479,17 @@ class _BlockCodec:
         Returns (values, widths, stats): fragments of 0..64 bits in
         block order, each covering one or more blocks; discarded blocks
         add no bits.  ``stats.windows_seen`` is left to the caller.
-        ``work`` keeps the temporaries of n > 16 from one call to the next.
+        ``work`` keeps the temporaries of n > 16 from one call to the next;
+        the values and widths are new arrays, never ``work``'s, so a
+        :class:`BitPacker` may take them over.
         """
         n, per = self.n, self._per
         packed = [rows] if isinstance(rows, np.ndarray) and rows.ndim == 1 else rows
         n_blocks = row_blocks * len(packed)
         if self._folded is None:
-            work, rooms = work or _Workspace(), -(-row_blocks // 8) * 8
+            work, height = work or _Workspace(), -(-row_blocks // 8) * 8
             # each row's block words in its column of one (block, row) slot
-            slot = work("words", rooms * len(packed), np.uint64).reshape(-1, len(packed))
+            slot = work("words", height * len(packed), np.uint64).reshape(-1, len(packed))
             for column, row in zip(slot.T, packed):
                 _block_words(row, n, row_blocks, column)
             words = slot[:row_blocks].reshape(-1)

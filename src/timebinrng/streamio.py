@@ -60,8 +60,8 @@ def atomic_open(path):
     try:
         with open(tmp, "wb") as fh:
             yield fh
-        for record in (meta_path(path), manifest_path(path)):  # none of an older run's
-            record.unlink(missing_ok=True)
+        for record in (meta_path(path), manifest_path(path)):  # no new output beside
+            record.unlink(missing_ok=True)  # an older run's sidecar or manifest
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

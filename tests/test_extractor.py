@@ -273,10 +273,10 @@ class TestPackBits:
         widths = rng.integers(0, 65, 3 * _BATCH)
         values = rng.integers(0, 1 << 63, widths.size, dtype=np.uint64) >> (64 - widths).astype(np.uint64)
         values[widths == 0] = 0
+        frags = [(int(v), int(w)) for v, w in zip(values, widths) if w]  # the packer owns the arrays
         packer = BitPacker()
         for lo in range(0, widths.size, 5000):
             packer.add(values[lo : lo + 5000], widths[lo : lo + 5000])
-        frags = [(int(v), int(w)) for v, w in zip(values, widths) if w]
         assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
 
     @staticmethod
