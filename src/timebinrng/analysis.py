@@ -5,11 +5,19 @@ uniformity matrix, the entropy deficit caused by afterpulsing, a
 lightweight statistical sanity screen, and export of bit files for an
 external statistical test suite.
 
-Each report counts its input once.  Min-entropy and uniformity read one
-histogram of MSB-first words: d-bit words, or 2n-bit words for the
-pairs of n-window blocks, whose row and column sums are the per-pattern
-block counts.  The sanity screen takes its run count from the same
-lag-1 counts as its correlation.
+Each report is accumulated from packed chunks, the (payload, count)
+pairs that the chunk readers of :mod:`streamio` yield, by one object with
+``update(payload, count)`` and ``result()``: :class:`MinEntropyCounts`,
+:class:`UniformityCounts` or :class:`SanityCounts`.  None holds more than
+one chunk of its input, and none unpacks it.  Min-entropy and uniformity
+count MSB-first words, read from the packed bytes as the extractor reads
+blocks, into one histogram: d-bit words, or 2n-bit words for the pairs
+of n-window blocks, whose row and column sums are the per-pattern block
+counts; an odd last block leads the bits carried short of a pair.  The
+sanity screen keeps four integers, the ones, the pairs of adjacent ones
+and the first and last bit, from which its run count and its lag-1
+correlation both follow.  The batch functions pack their 0/1 input
+``_SLICE`` bits at a time into the same accumulators.
 """
 
 from __future__ import annotations
@@ -22,30 +30,42 @@ import numpy as np
 
 from .combinatorics import binomial
 from .errors import DomainError, UnsupportedCaseError
-from .extractor import DetectionStream, as_bit_array
+from .extractor import _POPCOUNT, DetectionStream, _block_words, as_bit_array, join_packed
 from .streamio import write_ascii_bits, write_packed_bits
 
 MAX_WORD_BITS = 16
 UNIFORMITY_MAX_BLOCK = 12  # counts matrix is 4^n cells
 _ROWS = 64  # counts rows whose deviations are evaluated at a time
-_SLICE = 1 << 20  # words counted at a time
+_SLICE = 1 << 20  # bits of a 0/1 array packed into one update at a time
 
 
-def _word_counts(bits: np.ndarray, width: int) -> np.ndarray:
-    """Histogram of the non-overlapping MSB-first ``width``-bit words of a
-    0/1 array; a partial tail is dropped.  Words are folded in the
-    narrowest unsigned dtype that holds them and counted ``_SLICE`` at a
-    time, so that ``np.bincount``'s intp copy of them stays one slice long."""
-    rows = bits[: bits.size // width * width].reshape(-1, width)
-    words = np.zeros(rows.shape[0], np.min_scalar_type((1 << width) - 1))
-    for column in rows.T:
-        words <<= 1
-        words |= column
-    # summed in place: at width 24 one histogram is 128 MiB
-    counts = np.bincount(words[:_SLICE], minlength=1 << width)
-    for lo in range(_SLICE, words.size, _SLICE):
-        counts += np.bincount(words[lo : lo + _SLICE], minlength=1 << width)
-    return counts
+class _WordCounts:
+    """Histogram of the non-overlapping MSB-first ``width``-bit words of
+    (payload, count) chunks as the chunk readers yield them: ``count``
+    bits packed MSB first, later bits ignored.  The bits short of a word
+    carry to the next update, as in ``extractor.StreamingMerger``, so the
+    counts do not depend on the chunking."""
+
+    def __init__(self, width: int):
+        self.width, self.bits, self.carry = width, 0, (0, 0)
+        self.counts = np.zeros(1 << width, dtype=np.int64)
+
+    def update(self, payload: np.ndarray, count: int) -> None:
+        total = self.carry[1] + count
+        usable = total - total % self.width
+        row, self.carry = join_packed(self.carry, payload, usable, total)
+        words = _block_words(row, self.width, usable // self.width)
+        # scatter-added: np.bincount would allocate 2^width cells per update
+        np.add.at(self.counts, np.right_shift(words, np.uint64(64 - self.width), out=words), 1)
+        self.bits += count
+
+
+def _fed(counter, bits):
+    """``counter``'s result for a 0/1 sequence, fed ``_SLICE`` bits at a time."""
+    arr = as_bit_array(bits)
+    for lo in range(0, arr.size, _SLICE):
+        counter.update(np.packbits(arr[lo : lo + _SLICE]), min(_SLICE, arr.size - lo))
+    return counter.result()
 
 
 def statistical_error_scale(word_bits: int, word_count: int) -> float:
@@ -67,6 +87,25 @@ class MinEntropyReport:
     passed: bool  # deviation < bound_5x_scale
 
 
+class MinEntropyCounts(_WordCounts):
+    """:func:`min_entropy`'s report, accumulated from packed chunks; the
+    report holds the counter's histogram, so no update may follow it."""
+
+    def __init__(self, word_bits: int = 8):
+        if not (1 <= word_bits <= MAX_WORD_BITS):
+            raise DomainError(f"word_bits must be in [1, {MAX_WORD_BITS}], got {word_bits}")
+        super().__init__(word_bits)
+
+    def result(self) -> MinEntropyReport:
+        d, bits = self.width, self.bits
+        if bits < d:
+            raise DomainError(f"need at least {d} bits for {d}-bit words, got {bits}")
+        h_inf = -math.log2(self.counts.max() / (bits // d))
+        scale = statistical_error_scale(d, bits // d)
+        return MinEntropyReport(d, bits // d, self.counts, h_inf, d - h_inf, scale, 5.0 * scale,
+                                d - h_inf < 5.0 * scale)
+
+
 def min_entropy(bits, word_bits: int = 8) -> MinEntropyReport:
     """Min-entropy of non-overlapping ``word_bits``-bit words.
 
@@ -75,27 +114,7 @@ def min_entropy(bits, word_bits: int = 8) -> MinEntropyReport:
     ``stat_error_scale`` for the sample size: it passes below five
     times that scale.
     """
-    if not (1 <= word_bits <= MAX_WORD_BITS):
-        raise DomainError(f"word_bits must be in [1, {MAX_WORD_BITS}], got {word_bits}")
-    arr = as_bit_array(bits)
-    if arr.size < word_bits:
-        raise DomainError(
-            f"need at least {word_bits} bits for {word_bits}-bit words, got {arr.size}"
-        )
-    histogram = _word_counts(arr, word_bits)
-    word_count = arr.size // word_bits
-    h_inf = -math.log2(histogram.max() / word_count)
-    scale = statistical_error_scale(word_bits, word_count)
-    return MinEntropyReport(
-        word_bits=word_bits,
-        word_count=word_count,
-        histogram=histogram,
-        min_entropy=h_inf,
-        deviation=word_bits - h_inf,
-        stat_error_scale=scale,
-        bound_5x_scale=5.0 * scale,
-        passed=word_bits - h_inf < 5.0 * scale,
-    )
+    return _fed(MinEntropyCounts(word_bits), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -134,59 +153,65 @@ def k_grouped_order(block_len: int) -> np.ndarray:
     return np.lexsort((np.arange(1 << block_len), k))
 
 
+class UniformityCounts(_WordCounts):
+    """:func:`uniformity_matrix`'s report, accumulated from packed chunks of
+    windows; the report holds the counter's histogram, so no update may
+    follow it."""
+
+    def __init__(self, block_len: int = 4):
+        if not (2 <= block_len <= UNIFORMITY_MAX_BLOCK):
+            raise DomainError(f"uniformity matrix supports block lengths 2..{UNIFORMITY_MAX_BLOCK}")
+        super().__init__(2 * block_len)
+
+    def result(self) -> UniformityMatrix:
+        block_len = self.width // 2
+        pair_count, odd = divmod(self.bits // block_len, 2)
+        if not pair_count:
+            raise DomainError("need at least two full blocks for pair statistics")
+        # the pair x then y is the 2n-bit word x * 2^n + y; every block is a
+        # row or a column of the pair matrix, except an odd last one, which
+        # leads the carry
+        size = 1 << block_len
+        counts = self.counts.reshape(size, size)
+        row, col = counts.sum(axis=1), counts.sum(axis=0)
+        pattern_counts = row + col
+        if odd:
+            value, bits = self.carry
+            pattern_counts[value >> (bits - block_len)] += 1
+
+        # both maxima are taken over a slice of rows at a time, so that at
+        # n = 12 no further 4^n-cell array is alive beside counts
+        symmetry_deviation = independence_deviation = 0.0
+        for a in range(0, size, _ROWS):
+            rows, mirror = counts[a : a + _ROWS], counts[:, a : a + _ROWS].T
+            diff = np.abs(rows - mirror)
+            tot = rows + mirror
+            expected = np.outer(row[a : a + _ROWS], col) / pair_count
+            # Pearson residuals need a few expected counts per cell to be
+            # normal-ish; rarely populated cells are excluded from their max
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sym_z = np.where(tot > 0, diff / np.sqrt(tot), 0.0)
+                ind_z = np.where(expected >= 10, np.abs(rows - expected) / np.sqrt(expected), 0.0)
+            symmetry_deviation = max(symmetry_deviation, float(sym_z.max()))
+            independence_deviation = max(independence_deviation, float(ind_z.max()))
+
+        # for counts a <= b, (b - a) / sqrt(a + b) rises with b and falls with
+        # a, so each k class's largest pairwise value is its min against its max
+        ks = _pattern_popcounts(block_len)
+        sub_z = 0.0
+        for k in range(1, block_len):
+            cls = pattern_counts[ks == k]
+            lo, hi = int(cls.min()), int(cls.max())
+            if hi:
+                sub_z = max(sub_z, (hi - lo) / math.sqrt(lo + hi))
+
+        passed = symmetry_deviation < 5.0 and independence_deviation < 5.0 and sub_z < 4.0
+        return UniformityMatrix(block_len, counts, pair_count, pattern_counts,
+                                symmetry_deviation, independence_deviation, sub_z, passed)
+
+
 def uniformity_matrix(stream: DetectionStream, block_len: int = 4) -> UniformityMatrix:
-    if not (2 <= block_len <= UNIFORMITY_MAX_BLOCK):
-        raise DomainError(f"uniformity matrix supports block lengths 2..{UNIFORMITY_MAX_BLOCK}")
-    windows = stream.windows
-    n_blocks = windows.size // block_len
-    if n_blocks < 2:
-        raise DomainError("need at least two full blocks for pair statistics")
-    # the pair x then y is the 2n-bit word x * 2^n + y; every block is a
-    # row or a column of the pair matrix, except an odd last one
-    size = 1 << block_len
-    counts = _word_counts(windows, 2 * block_len).reshape(size, size)
-    pair_count = n_blocks // 2
-    row = counts.sum(axis=1)
-    col = counts.sum(axis=0)
-    odd = windows[2 * pair_count * block_len : n_blocks * block_len]
-    pattern_counts = row + col + _word_counts(odd, block_len)
-
-    # both maxima are taken over a slice of rows at a time, so that at
-    # n = 12 no further 4^n-cell array is alive beside counts
-    symmetry_deviation = independence_deviation = 0.0
-    for a in range(0, size, _ROWS):
-        rows, mirror = counts[a : a + _ROWS], counts[:, a : a + _ROWS].T
-        diff = np.abs(rows - mirror)
-        tot = rows + mirror
-        expected = np.outer(row[a : a + _ROWS], col) / pair_count
-        # Pearson residuals need a few expected counts per cell to be
-        # normal-ish; rarely populated cells are excluded from their max
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sym_z = np.where(tot > 0, diff / np.sqrt(tot), 0.0)
-            ind_z = np.where(expected >= 10, np.abs(rows - expected) / np.sqrt(expected), 0.0)
-        symmetry_deviation = max(symmetry_deviation, float(sym_z.max()))
-        independence_deviation = max(independence_deviation, float(ind_z.max()))
-
-    # for counts a <= b, (b - a) / sqrt(a + b) rises with b and falls with
-    # a, so each k class's largest pairwise value is its min against its max
-    ks = _pattern_popcounts(block_len)
-    sub_z = 0.0
-    for k in range(1, block_len):
-        cls = pattern_counts[ks == k]
-        lo, hi = int(cls.min()), int(cls.max())
-        if hi:
-            sub_z = max(sub_z, (hi - lo) / math.sqrt(lo + hi))
-
-    return UniformityMatrix(
-        block_len=block_len,
-        counts=counts,
-        pair_count=pair_count,
-        pattern_counts=pattern_counts,
-        symmetry_deviation=symmetry_deviation,
-        independence_deviation=independence_deviation,
-        subblock_max_z=sub_z,
-        passed=symmetry_deviation < 5.0 and independence_deviation < 5.0 and sub_z < 4.0,
-    )
+    return _fed(UniformityCounts(block_len), stream.windows)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +291,53 @@ class SanityReport:
         return {"monobit": self.monobit_z, "runs": self.runs_z, "lag1": self.lag1_z}
 
 
+class SanityCounts:
+    """:func:`sanity_tests`' report, accumulated from packed chunks as four
+    integers: ones, pairs of adjacent ones, and the first and last bit."""
+
+    def __init__(self):
+        self.n = self.ones = self.both = self.first = self.last = 0
+
+    def update(self, payload: np.ndarray, count: int) -> None:
+        if not count:
+            return
+        row = payload[: -(-count // 8)].copy()
+        row[-1] &= -(1 << -count % 8) & 0xFF  # the bits after count go
+        lead, values = int(row[0]) >> 7, np.arange(256)
+        byte_counts = np.bincount(row, minlength=256)
+        # pairs within a byte, across each byte edge and across the chunk edge
+        pairs = byte_counts @ _POPCOUNT[values & values >> 1]
+        pairs += np.count_nonzero(row[:-1] & row[1:] >> 7) + (self.last & lead)
+        self.ones, self.both = self.ones + int(byte_counts @ _POPCOUNT), self.both + int(pairs)
+        self.first = self.first if self.n else lead
+        self.last = int(row[-1]) >> -count % 8 & 1
+        self.n += count
+
+    def result(self) -> SanityReport:
+        n, ones, both = self.n, self.ones, self.both
+        if n < 10_000:
+            raise DomainError(f"sanity screen needs >= 10000 bits, got {n}")
+        zeros = n - ones
+        monobit_z = (2.0 * ones - n) / math.sqrt(n)
+        # lag-1 counts: ones in bits[:-1], in bits[1:] and in both at once
+        m, head, tail = n - 1, ones - self.last, ones - self.first
+
+        if ones == 0 or zeros == 0:
+            runs_z = math.inf
+        else:
+            runs = 1 + head + tail - 2 * both  # a run ends where exactly one of a pair is 1
+            expected = 1.0 + 2.0 * ones * zeros / n
+            variance = (expected - 1.0) * (expected - 2.0) / (n - 1.0)
+            runs_z = (runs - expected) / math.sqrt(variance)
+
+        # Pearson correlation of bits[:-1] and bits[1:] from exact integer counts;
+        # a constant side (one 1 or one 0, at an end) has no correlation
+        spread = head * (m - head) * tail * (m - tail)
+        lag1_z = (m * both - head * tail) / math.sqrt(spread) * math.sqrt(m) if spread else math.inf
+        passed = max(abs(monobit_z), abs(runs_z), abs(lag1_z)) < 4.0
+        return SanityReport(n, monobit_z, runs_z, lag1_z, passed)
+
+
 def sanity_tests(bits) -> SanityReport:
     """Quick pre-test screen: bit balance, run count, lag-1 correlation.
 
@@ -273,33 +345,7 @@ def sanity_tests(bits) -> SanityReport:
     ideal; it is a smoke check, not a substitute for a full statistical
     test battery.
     """
-    arr = as_bit_array(bits)
-    n = int(arr.size)
-    if n < 10_000:
-        raise DomainError(f"sanity screen needs >= 10000 bits, got {n}")
-    ones = int(np.count_nonzero(arr))
-    zeros = n - ones
-    monobit_z = (2.0 * ones - n) / math.sqrt(n)
-
-    # lag-1 counts: ones in arr[:-1], in arr[1:] and in both at once
-    m, head, tail = n - 1, ones - int(arr[-1]), ones - int(arr[0])
-    both = int(np.count_nonzero(arr[1:] & arr[:-1]))
-
-    if ones == 0 or zeros == 0:
-        runs_z = math.inf
-    else:
-        runs = 1 + head + tail - 2 * both  # a run ends where exactly one of a pair is 1
-        expected = 1.0 + 2.0 * ones * zeros / n
-        variance = (expected - 1.0) * (expected - 2.0) / (n - 1.0)
-        runs_z = (runs - expected) / math.sqrt(variance)
-
-    # Pearson correlation of arr[:-1] and arr[1:] from exact integer counts;
-    # a constant side (one 1 or one 0, at an end) has no correlation
-    spread = head * (m - head) * tail * (m - tail)
-    lag1_z = (m * both - head * tail) / math.sqrt(spread) * math.sqrt(m) if spread else math.inf
-
-    passed = max(abs(monobit_z), abs(runs_z), abs(lag1_z)) < 4.0
-    return SanityReport(n, monobit_z, runs_z, lag1_z, passed)
+    return _fed(SanityCounts(), bits)
 
 
 def export_nist(bits, path, fmt: str = "ascii") -> Path:

@@ -2,15 +2,20 @@
 
 Every file-producing run writes a ``<output>.manifest.json`` holding
 the exact argument vector, seeds, and toolkit version needed to
-reproduce it byte for byte.  All randomness flows from the --seed
-argument; nothing reads ambient entropy.
+reproduce it byte for byte.  A multi-channel ``simulate`` names its
+manifest after ``--out``, which no channel's output replaces, so it
+removes an older run's manifest there before it writes any channel.
+All randomness flows from the --seed argument; nothing reads ambient
+entropy.
 
 ``analyze`` prints one ``[check]`` section per requested check, in the
 order min-entropy, uniformity, sanity, with a blank line between
 sections.  Each holds the report's scalar fields as ``key = value``
 lines (ints exact, floats to 6 significant digits) and then
 ``pass = true|false``, or a single ``error = ...`` line when the check
-cannot run on this input; the input file is read at most once.
+cannot run on this input.  The input file is read at most once, a chunk
+at a time: each chunk goes to the accumulator of every requested check
+that the input serves, so no check holds the input or unpacks it.
 
 Exit codes: 0 success (and all requested property checks passed),
 1 a property check failed or could not run on its input, 2 usage or
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import MAX_WORD_BITS, UNIFORMITY_MAX_BLOCK
-from .analysis import min_entropy, sanity_tests, uniformity_matrix
+from .analysis import MinEntropyCounts, SanityCounts, UniformityCounts
 from .efficiency import (
     ModulationProfile,
     binary_rate,
@@ -45,7 +50,6 @@ from .efficiency import (
 from .errors import DomainError, TimebinError
 from .extractor import (
     MERGE_POLICIES,
-    DetectionStream,
     StreamingExtractor,
     StreamingMerger,
 )
@@ -174,6 +178,8 @@ def _cmd_simulate(args, argv: list[str]) -> int:
     if args.format == "tbd1":  # no channel is written unless every header can hold its period
         for model in models:
             streamio.check_period_ns(model.window_period * 1e9)
+    if len(models) > 1:  # no new channel beside an older run's manifest, named after --out
+        streamio.manifest_path(args.out).unlink(missing_ok=True)
     outputs = []
     for channel, model in enumerate(models):
         out_path = _channel_path(args.out, channel, len(models))
@@ -296,12 +302,11 @@ def _cmd_extract(args, argv: list[str]) -> int:
 
 
 # one row per check, in report order: its section name, the input it reads
-# and the analysis call on that input as a 0/1 array
+# and the accumulator of its report, fed that input's packed chunks
 _CHECKS = (
-    ("min-entropy", "bits", lambda data, args: min_entropy(data, args.word_bits)),
-    ("uniformity", "windows",
-     lambda data, args: uniformity_matrix(DetectionStream(data), args.block_len)),
-    ("sanity", "bits", lambda data, args: sanity_tests(data)),
+    ("min-entropy", "bits", lambda args: MinEntropyCounts(args.word_bits)),
+    ("uniformity", "windows", lambda args: UniformityCounts(args.block_len)),
+    ("sanity", "bits", lambda args: SanityCounts()),
 )
 _WRONG_INPUT = {
     "bits": "bit-level checks need a bit file (ascii or packed); got a TIMEBIN1 window stream",
@@ -322,17 +327,6 @@ def _text(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
-def _unpacked(chunks) -> np.ndarray:
-    """The 0/1 array of (payload, count) chunks that join byte for byte,
-    as the readers yield them."""
-    held = list(chunks)
-    starts = [0, *itertools.accumulate(8 * payload.size for payload, _ in held)]
-    out = np.empty(starts[-1], dtype=np.uint8)
-    for (payload, _), lo, hi in zip(held, starts, starts[1:]):
-        out[lo:hi] = np.unpackbits(payload)
-    return out[: sum(n for _, n in held)]
-
-
 def _cmd_analyze(args, argv: list[str]) -> int:
     checks = [row for row in _CHECKS if getattr(args, row[0].replace("-", "_"))]
     if not checks:
@@ -341,16 +335,20 @@ def _cmd_analyze(args, argv: list[str]) -> int:
         raise DomainError(f"--word-bits must be in 1..{MAX_WORD_BITS}, got {args.word_bits}")
     if args.uniformity and not 2 <= args.block_len <= UNIFORMITY_MAX_BLOCK:
         raise DomainError(f"--block-len must be in 2..{UNIFORMITY_MAX_BLOCK}, got {args.block_len}")
-    # the input is read once, if at all, and only by a check of a kind it serves
+    # the input is read once, if at all, a chunk at a time, and each chunk
+    # goes to every check of a kind the input serves
     kind, _, chunks = _open_input(args.input, _DEFAULT_CHUNK)
-    data, sections, all_pass = None, [], True
-    for name, view, call in checks:
+    counters = [build(args) if kind in (None, view) else None for _, view, build in checks]
+    served = [counter for counter in counters if counter is not None]
+    for payload, count in chunks if served else ():
+        for counter in served:
+            counter.update(payload, count)
+    sections, all_pass = [], True
+    for (name, view, _), counter in zip(checks, counters):
         try:
-            if kind not in (None, view):
+            if counter is None:
                 raise DomainError(_WRONG_INPUT[view])
-            if data is None:
-                data = _unpacked(chunks)
-            report = _report(call(data, args))
+            report = _report(counter.result())
         except DomainError as exc:  # format errors end the run with exit 2
             report = {"error": str(exc)}
         all_pass = all_pass and report.get("pass", False)

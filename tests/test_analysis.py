@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timebinrng import (
     DetectionStream,
@@ -78,7 +82,8 @@ class TestMinEntropy:
 
     @pytest.mark.parametrize("word_bits", [1, 3, 8, 16])
     def test_histogram_counted_in_slices(self, word_bits, monkeypatch):
-        # 7 words a slice: a ragged last slice, and one word alone at 60 words
+        # 7 bits packed into each update: words straddle updates, and the
+        # last update is ragged
         rng = np.random.default_rng(410 + word_bits)
         bits = (rng.random(60 * word_bits + word_bits - 1) < 0.4).astype(np.uint8)
         whole = min_entropy(bits, word_bits)
@@ -449,6 +454,91 @@ class TestSanity:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * bits.size
+
+
+def report_fields(call):
+    """The fields of the report that ``call`` returns, each with its type,
+    arrays by dtype, shape and digest and floats by their bytes, so that
+    equal means equal bit for bit; or the text of its DomainError."""
+    try:
+        report = call()
+    except DomainError as exc:
+        return str(exc)
+    out = {}
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):  # hashed in place: a 4^12-cell matrix is 128 MiB
+            value = value.dtype.str, value.shape, hashlib.sha256(value).hexdigest()
+        elif isinstance(value, float):
+            value = struct.pack("<d", value)
+        out[field.name] = type(getattr(report, field.name)), value
+    return out
+
+
+def fed_in_chunks(counter, bits, sizes, garbage):
+    """Feed ``bits`` to an accumulator in chunks of the given sizes, then the
+    rest; with ``garbage``, each payload has ones in its padding bits and
+    one more byte, none of which the accumulator may read."""
+    starts = np.cumsum([0, *sizes])
+    for lo, hi in zip(starts, [*starts[1:], max(bits.size, starts[-1])]):
+        chunk = bits[lo:hi]
+        payload = np.packbits(chunk)
+        if garbage:
+            if chunk.size % 8:
+                payload[-1] |= (1 << (-chunk.size % 8)) - 1
+            payload = np.append(payload, np.uint8(0xA5))
+        counter.update(payload, chunk.size)
+    return counter.result()
+
+
+@st.composite
+def ragged_feeds(draw, lengths):
+    """(bits, chunk sizes, garbage): a 0/1 array of a drawn length and click
+    probability, and chunk sizes that include 0- and 1-bit chunks."""
+    p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random(draw(lengths)) < p).astype(np.uint8)
+    sizes = draw(st.lists(st.integers(0, 9) | st.integers(10, 4000), max_size=12))
+    return bits, sizes, draw(st.booleans())
+
+
+class TestAccumulators:
+    """Each report's accumulator, fed a ragged chunking of packed payloads,
+    gives the batch function's report field for field, or its DomainError."""
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_min_entropy(self, data):
+        d = data.draw(st.integers(1, 16), label="word_bits")
+        bits, sizes, garbage = data.draw(ragged_feeds(st.integers(0, 60 * d)))
+        fed = report_fields(lambda: fed_in_chunks(analysis.MinEntropyCounts(d), bits, sizes,
+                                                  garbage))
+        assert fed == report_fields(lambda: min_entropy(bits, d))
+
+    def check_uniformity(self, n, feed):
+        bits, sizes, garbage = feed
+        fed = report_fields(lambda: fed_in_chunks(analysis.UniformityCounts(n), bits, sizes,
+                                                  garbage))
+        assert fed == report_fields(lambda: uniformity_matrix(DetectionStream(bits), n))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_uniformity(self, data):
+        n = data.draw(st.integers(2, 11), label="block_len")
+        self.check_uniformity(n, data.draw(ragged_feeds(st.integers(0, 40 * n))))
+
+    @given(ragged_feeds(st.integers(0, 600)))
+    @settings(max_examples=2, deadline=None)
+    def test_uniformity_at_the_largest_block(self, feed):
+        # a 4^12-cell report takes ~0.7 s
+        self.check_uniformity(analysis.UNIFORMITY_MAX_BLOCK, feed)
+
+    @given(ragged_feeds(st.integers(0, 30) | st.integers(9_990, 12_000)))
+    @settings(max_examples=60)
+    def test_sanity(self, feed):
+        bits, sizes, garbage = feed
+        fed = report_fields(lambda: fed_in_chunks(analysis.SanityCounts(), bits, sizes, garbage))
+        assert fed == report_fields(lambda: sanity_tests(bits))
 
 
 class TestExportNist:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -515,6 +516,56 @@ class TestAnalyze:
         assert report.read_text() == out_text
 
 
+class TestAnalyzeMemory:
+    """Analyze holds no input-sized buffer: the peak RSS of a child process
+    running one check stays flat while its input grows 16x, on each kind of
+    input the check reads.  The inputs are random bytes written directly."""
+
+    SMALL, LARGE = 1 << 20, 1 << 24  # windows or bits
+    CASES = [("tbd1", "--uniformity"), ("bin", "--min-entropy"), ("bin", "--sanity"),
+             ("txt", "--min-entropy"), ("txt", "--uniformity"), ("txt", "--sanity")]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("analyze-memory")
+        rng = np.random.default_rng(17)
+        for size in (self.SMALL, self.LARGE):
+            payload = rng.integers(0, 256, size // 8, dtype=np.uint8).tobytes()
+            header = struct.pack("<8sQQQ", streamio.MAGIC, size, 1, 0)
+            (d / f"{size}.tbd1").write_bytes(header + payload)
+            streamio.write_packed_bits(d / f"{size}.bin", payload, size)
+            (d / f"{size}.txt").write_bytes(streamio.ascii_codes(np.unpackbits(
+                np.frombuffer(payload, np.uint8))).tobytes())
+        return d
+
+    # a child's peak RSS counts the memory of the process it was forked from,
+    # so a small launcher, not this test process, starts the analyze child;
+    # glibc's fixed mmap threshold returns freed chunk-sized arrays at once,
+    # so that the peak follows the live arrays, not the heap's fragmentation
+    LAUNCHER = "\n".join([
+        "import os, subprocess, sys",
+        "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)",
+        "_, status, usage = os.wait4(child.pid, 0)",
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)",
+    ])
+
+    def peak_mib(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(streamio.__file__).parents[1]),
+               "MALLOC_MMAP_THRESHOLD_": "65536"}
+        launched = subprocess.run([sys.executable, "-c", self.LAUNCHER, sys.executable, "-m",
+                                   "timebinrng", "analyze", *argv],
+                                  capture_output=True, text=True, env=env, check=True)
+        code, kib = map(int, launched.stdout.split())
+        assert code in (0, 1)
+        return kib / 1024
+
+    @pytest.mark.parametrize("suffix, check", CASES)
+    def test_peak_is_flat_in_input_length(self, inputs, suffix, check):
+        small, large = (self.peak_mib(str(inputs / f"{size}.{suffix}"), check)
+                        for size in (self.SMALL, self.LARGE))
+        assert large - small < 2, (small, large)
+
+
 # each check's report keys, in print order
 REPORT_KEYS = {
     "min-entropy": ["word_bits", "word_count", "min_entropy", "deviation",
@@ -868,6 +919,33 @@ class TestInterruptedExtract:
             assert all(data in (None, mine) for data, mine in zip(left[1:], own[1:])), fail_at
             assert {p.name for p in tmp_path.iterdir()} <= names  # no temp file stays
         assert next(steps) == 6 and left == runs["16"]
+
+
+class TestInterruptedSimulate:
+    def test_no_channel_beside_an_older_runs_manifest(self, tmp_path, capsys, monkeypatch):
+        # a two-channel seed-2 run over a seed-1 run fails to rename its second
+        # channel: the new first channel is left, but not beside the manifest
+        # whose argv says seed 1, which is named after --out, not after a channel
+        base = tmp_path / "b.tbd1"
+        argv = ["simulate", "--scenario", "b", "--windows", "4000", "--out", str(base)]
+        assert run(capsys, *argv, "--seed", "1")[0] == 0
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert streamio.manifest_path(base).name in old
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "b.ch1.tbd1":
+                raise OSError("injected failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            run(capsys, *argv, "--seed", "2")
+        ch0, ch1 = tmp_path / "b.ch0.tbd1", tmp_path / "b.ch1.tbd1"
+        assert ch0.read_bytes() != old[ch0.name] and streamio.read_meta(ch0)["seed"] == 2
+        assert ch1.read_bytes() == old[ch1.name]
+        assert not streamio.manifest_path(base).exists()
+        assert {p.name for p in tmp_path.iterdir()} <= set(old)  # no temp file stays
 
 
 class TestReproducibility:
