@@ -9,8 +9,10 @@ Each report is accumulated from packed chunks, the (payload, count)
 pairs that the chunk readers of :mod:`streamio` yield, by one object with
 ``update(payload, count)`` and ``result()``: :class:`MinEntropyCounts`,
 :class:`UniformityCounts` or :class:`SanityCounts`.  None holds more than
-one chunk of its input, and none unpacks it.  Min-entropy and uniformity
-count MSB-first words, read from the packed bytes as the extractor reads
+one chunk of its input, and none unpacks it.  Each refuses a chunk whose
+payload does not hold its count of bits, as ``StreamingMerger.feed``
+does, before it counts anything.  Min-entropy and uniformity count
+MSB-first words, read from the packed bytes as the extractor reads
 blocks, into one histogram: d-bit words, or 2n-bit words for the pairs
 of n-window blocks, whose row and column sums are the per-pattern block
 counts; an odd last block leads the bits carried short of a pair.  The
@@ -30,7 +32,8 @@ import numpy as np
 
 from .combinatorics import binomial
 from .errors import DomainError, UnsupportedCaseError
-from .extractor import _POPCOUNT, DetectionStream, _block_words, as_bit_array, join_packed
+from .extractor import (_POPCOUNT, DetectionStream, _block_words, as_bit_array, check_chunks,
+                        join_packed)
 from .streamio import write_ascii_bits, write_packed_bits
 
 MAX_WORD_BITS = 16
@@ -51,6 +54,7 @@ class _WordCounts:
         self.counts = np.zeros(1 << width, dtype=np.int64)
 
     def update(self, payload: np.ndarray, count: int) -> None:
+        (count,) = check_chunks([payload], [count])
         total = self.carry[1] + count
         usable = total - total % self.width
         row, self.carry = join_packed(self.carry, payload, usable, total)
@@ -299,6 +303,7 @@ class SanityCounts:
         self.n = self.ones = self.both = self.first = self.last = 0
 
     def update(self, payload: np.ndarray, count: int) -> None:
+        (count,) = check_chunks([payload], [count])
         if not count:
             return
         row = payload[: -(-count // 8)].copy()

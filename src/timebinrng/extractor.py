@@ -123,10 +123,26 @@ def as_bit_array(windows) -> np.ndarray:
 
 def fragments_to_bit_array(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Expand fragments to their MSB-first bit sequence, concatenated."""
-    packer = BitPacker()
+    packer = BitPacker(kept := _Kept())
     # copies, since the packer may overwrite the arrays it is given
     packer.add(np.array(values, dtype=np.uint64), np.array(lengths, dtype=np.int64))
-    return unpack_bits(packer.getvalue(), packer.bit_length)
+    packer.close()
+    return unpack_bits(b"".join(kept), packer.bit_length)
+
+
+def check_chunks(payloads: Sequence[np.ndarray], counts: Sequence[int]) -> list[int]:
+    """The counts as ints, if each payload is a 1-D uint8 array that holds
+    its count of MSB-first bits, as the chunk readers yield them."""
+    try:  # numpy integers become ints, which join_packed's carry needs
+        counts = [operator.index(c) for c in counts]
+    except TypeError:
+        raise DomainError(f"window counts must be integers, got {counts!r}") from None
+    if len(counts) != len(payloads) or not all(
+        isinstance(p, np.ndarray) and (p.dtype, p.ndim) == (np.uint8, 1) and 0 <= c <= 8 * p.size
+        for p, c in zip(payloads, counts)
+    ):
+        raise DomainError("payloads must be 1-D uint8 arrays of ceil(count / 8) bytes or more")
+    return counts
 
 
 def join_packed(carry: tuple[int, int], payload: np.ndarray, usable: int, total: int):
@@ -173,8 +189,14 @@ def unpack_bits(data: bytes, total_bits: int) -> np.ndarray:
     return np.unpackbits(buf)[:total_bits]
 
 
+class _Kept(list):
+    """A sink that keeps what is written to it, uncopied, for ``b"".join``."""
+
+    write = list.append
+
+
 class BitPacker:
-    """Accumulates (value, width) fragments into an MSB-first byte string.
+    """Packs (value, width) fragments into MSB-first bytes for ``sink.write``.
 
     Fragments are ORed into big-endian 64-bit words at their bit offsets;
     fewer than 64 bits carry over to the next pass, so feeding the same
@@ -185,19 +207,19 @@ class BitPacker:
     of the word before.  Pieces that share a word are disjoint, so a pass
     scatter-adds them into zeroed words (``np.add.at``), which ORs them.
     Calls are queued and packed together once ``_BATCH`` fragments wait,
-    or when the bits are read, since each pass costs tens of
+    or when the bit count is read, since each pass costs tens of
     microseconds however few fragments it packs; a lone queued call is
     packed in its own arrays, several are joined first.
 
     Each pass hands its whole words, as one big-endian word array, to
     ``sink.write`` and keeps only the pending bits, which :meth:`close`
-    writes; with no sink the words stay for :meth:`getvalue`.
+    writes, zero padded to a byte.  The sink may keep the word array as
+    it is: the packer never writes to it again.
     """
 
-    def __init__(self, sink=None, work=None):
+    def __init__(self, sink, work=None):
         self._work = work or _Workspace()
-        self._full: list[np.ndarray] = []
-        self._write = self._full.append if sink is None else sink.write
+        self._write = sink.write
         self._carry = np.uint64(0)  # the bit_length % 64 pending bits, left-aligned
         self._bits = 0  # packed so far
         self._queue: list[tuple[np.ndarray, np.ndarray]] = []
@@ -257,19 +279,11 @@ class BitPacker:
         self._write(full)
         self._bits += total - pending
 
-    def _tail(self) -> bytes:
-        """The pending bits' bytes, zero padded."""
-        self._pack()
-        return int(self._carry).to_bytes(8, "big")[: (self._bits % 64 + 7) // 8]
-
     def close(self) -> None:
-        """Write the pending bits to the sink; nothing may be added after."""
-        self._write(self._tail())
-
-    def getvalue(self) -> bytes:
-        """All bytes of a packer without a sink."""
-        tail = self._tail()
-        return b"".join([*self._full, tail])
+        """Write the pending bits, zero padded, to the sink; nothing may be
+        added after."""
+        self._pack()
+        self._write(int(self._carry).to_bytes(8, "big")[: (self._bits % 64 + 7) // 8])
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +557,13 @@ class StreamingMerger:
     at a time; ``per-channel`` concatenates whole channels in order.  With
     one channel both policies give the plain block-order output.
 
-    Output goes to ``sink.write`` as it is packed (see :class:`BitPacker`),
-    or, with no sink, is kept for :meth:`finish` to return.  Per-channel
-    merging writes channel 0 straight through and spills the others, to
-    anonymous temp files in ``spill_dir`` when there is a sink and to
-    memory when not, until :meth:`finish` appends them.
+    Output goes to ``sink.write`` as it is packed (see :class:`BitPacker`).
+    With no sink the merger packs into a private one that keeps the word
+    arrays uncopied, and :meth:`finish` returns them joined, as one
+    :class:`BitOutput`.  Per-channel merging writes channel 0 straight
+    through and spills the others, to anonymous temp files in
+    ``spill_dir`` when there is a sink and to memory when not, until
+    :meth:`finish` appends them.
     """
 
     def __init__(self, block_len: int, n_channels: int = 1, policy: str = "round-robin-block",
@@ -562,8 +578,8 @@ class StreamingMerger:
         self._spills = [io.BytesIO() if sink is None else tempfile.TemporaryFile(dir=spill_dir)
                         for _ in range(spills)]
         self._work = _Workspace()  # the chunk-sized temporaries, until finish()
-        self._packers = [BitPacker(out, self._work) for out in (sink, *self._spills)]
-        self._sink = sink
+        self._sink = _Kept() if sink is None else sink
+        self._packers = [BitPacker(out, self._work) for out in (self._sink, *self._spills)]
         self.stats = ExtractStats()
 
     def feed(self, chunks: Sequence[np.ndarray], counts: Sequence[int] | None = None) -> None:
@@ -574,15 +590,7 @@ class StreamingMerger:
         if counts is None:
             counts = [np.size(win) for win in chunks]
             chunks = [np.packbits(as_bit_array(win)) for win in chunks]
-        try:  # numpy integers become ints, which join_packed's carry needs
-            counts = [operator.index(c) for c in counts]
-        except TypeError:
-            raise DomainError(f"window counts must be integers, got {counts!r}") from None
-        if len(counts) != len(chunks) or not all(
-            (p.dtype, p.ndim) == (np.uint8, 1) and 0 <= c <= 8 * p.size
-            for p, c in zip(chunks, counts)
-        ):
-            raise DomainError("payloads must be 1-D uint8 arrays of ceil(count / 8) bytes or more")
+        counts = check_chunks(chunks, counts)
         n = self._codec.n
         totals = [bits + c for (_, bits), c in zip(self._remainders, counts)]
         usable = [t - t % n for t in totals]
@@ -606,7 +614,7 @@ class StreamingMerger:
 
     def finish(self) -> BitOutput | None:
         """Close the stream; pending partial blocks are dropped.  Returns the
-        output, or None when it went to the sink."""
+        output, or None when it went to the caller's sink."""
         packer, *rest = self._packers
         for spilled, spill in zip(rest, self._spills):
             # every spilled word, the last one partial, is a fragment
@@ -619,13 +627,11 @@ class StreamingMerger:
                 lengths = np.full(words.size, 64, dtype=np.int64)
                 lengths[-1] = min(8 * _SPILL_BLOCK, bits - start) - 64 * (words.size - 1)
                 packer.add(words >> (64 - lengths).view(np.uint64), lengths)
-        if self._sink is None:
-            out = BitOutput(packer.getvalue(), packer.bit_length, self.stats)
-        else:
-            packer.close()
-            out = None
+        packer.close()
         self.close()
-        return out
+        if isinstance(self._sink, _Kept):  # the caller gave no sink
+            return BitOutput(b"".join(self._sink), self.stats.bits_emitted, self.stats)
+        return None
 
     def close(self) -> None:
         """Drop the spilled channels and the kept arrays; :meth:`finish`

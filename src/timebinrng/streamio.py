@@ -39,7 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, StreamFormatError
-from .extractor import BitOutput, DetectionStream, as_bit_array, join_packed
+from .extractor import BitOutput, as_bit_array, join_packed
 
 MAGIC = b"TIMEBIN1"
 PACKED_BITS = "packed-bits-msb-first"  # the sidecar ``format`` of a packed bit file
@@ -147,11 +147,6 @@ class StreamWriter:
             self.close()
         elif not self._fh.closed:
             self._output.__exit__(*exc)
-
-
-def write_stream(path, stream: DetectionStream) -> None:
-    with StreamWriter(path, stream.window_period * 1e9, stream.channel_id) as w:
-        w.write(stream.windows)
 
 
 def _check_payload(fh, count: int, base: int = 0) -> None:
@@ -265,10 +260,13 @@ def iter_ascii_payload(path, chunk_windows: int = 1 << 24) -> Iterator[tuple[np.
             if size >= chunk_windows:
                 joined = np.concatenate(held)
                 whole = size - size % chunk_windows
+                # the tail copied and the joined windows dropped before any
+                # chunk goes out, so that they are not alive beside the next
+                held, size = [joined[whole:].copy()], size - whole
                 packed = np.packbits(joined[:whole])
+                del joined
                 for lo in range(0, whole // 8, chunk_windows // 8):
                     yield packed[lo : lo + chunk_windows // 8], chunk_windows
-                held, size = [joined[whole:]], size - whole
     if size:
         yield np.packbits(np.concatenate(held)), size
 

@@ -8,8 +8,9 @@ numpy only for array access, and the whole-simulator reference, which
 evaluates p(t) at every window with the library's own expression; and
 the uniformity-deviation reference, the dense whole-matrix numpy
 expressions that the library now evaluates a slice of rows at a time;
-the sanity reference, which keeps numpy for its two lag-1 passes; and
-the whole-file reader, which unpacks bytes with ``np.unpackbits``.
+the sanity reference, which keeps numpy for its two lag-1 passes; the
+whole-file reader, which unpacks bytes with ``np.unpackbits``; and the
+whole-stream writer, a test helper on the library's own TIMEBIN1 writer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from itertools import combinations as iter_combinations
 from pathlib import Path
 
 import numpy as np
+
+from timebinrng.streamio import StreamWriter
 
 _FAR_PAST = -(1 << 62)
 
@@ -49,6 +52,12 @@ def file_bits(path):
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=base))
     assert not bits[count:].any(), "nonzero padding"
     return bits[:count]
+
+
+def write_stream(path, stream):
+    """Write a whole DetectionStream as one TIMEBIN1 file."""
+    with StreamWriter(path, stream.window_period * 1e9, stream.channel_id) as w:
+        w.write(stream.windows)
 
 
 def pascal_triangle(n_max):

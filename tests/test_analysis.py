@@ -540,6 +540,31 @@ class TestAccumulators:
         fed = report_fields(lambda: fed_in_chunks(analysis.SanityCounts(), bits, sizes, garbage))
         assert fed == report_fields(lambda: sanity_tests(bits))
 
+    @pytest.mark.parametrize("payload, count", [
+        (np.array([255], np.uint8), 800),  # 8 bits, not 800
+        (np.array([[255]], np.uint8), 8),
+        (np.array([255.0]), 8),
+        (np.array([255], np.uint8), -1),
+        (np.array([255], np.uint8), 8.0),
+    ], ids=["short", "2-D", "float64", "negative", "non-integer"])
+    @pytest.mark.parametrize("make", [
+        lambda: analysis.MinEntropyCounts(8),
+        lambda: analysis.UniformityCounts(4),
+        analysis.SanityCounts,
+    ], ids=["min-entropy", "uniformity", "sanity"])
+    def test_malformed_chunk_is_refused_before_any_state_changes(self, make, payload, count):
+        # as StreamingMerger.feed refuses it: no phantom bits are counted
+        counter = make()
+        counter.update(np.array([0b1011_0110, 0b0100_0000], np.uint8), 10)  # a 2-bit carry
+
+        def state():
+            return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(counter).items()}
+
+        before = state()
+        with pytest.raises(DomainError):
+            counter.update(payload, count)
+        assert state() == before
+
 
 class TestExportNist:
     def test_ascii_is_byte_per_bit(self, tmp_path):

@@ -25,7 +25,7 @@ from timebinrng import (
 )
 from timebinrng.cli import main
 
-from oracles import file_bits
+from oracles import file_bits, write_stream
 
 
 def run(capsys, *argv):
@@ -237,7 +237,7 @@ class TestExtract:
                 if fmt == "ascii":
                     streamio.write_ascii_bits(path, w)
                 else:
-                    streamio.write_stream(path, DetectionStream(w))
+                    write_stream(path, DetectionStream(w))
             bits = tmp_path / f"{fmt}.bin"
             code, _, _ = run(capsys, "extract", *map(str, paths), "-N", "17", "--merge", merge,
                              "--chunk-windows", "136", "--out", str(bits))

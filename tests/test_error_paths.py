@@ -33,6 +33,8 @@ from timebinrng import (
 from timebinrng.cli import main
 from timebinrng.extractor import as_bit_array, unpack_bits
 
+from oracles import write_stream
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -128,7 +130,7 @@ class TestLibrary:
 
     def test_header_with_period_zero(self, tmp_path):
         path = tmp_path / "s.tbd1"
-        streamio.write_stream(path, DetectionStream(np.ones(16, dtype=np.uint8)))
+        write_stream(path, DetectionStream(np.ones(16, dtype=np.uint8)))
         raw = bytearray(path.read_bytes())
         raw[16:24] = bytes(8)
         path.write_bytes(bytes(raw))
@@ -139,7 +141,7 @@ class TestLibrary:
     @pytest.mark.parametrize("chunk", [0, 12, -8])
     def test_payload_chunk_not_a_multiple_of_8(self, tmp_path, chunk):
         path = tmp_path / "s.tbd1"
-        streamio.write_stream(path, DetectionStream(np.ones(16, dtype=np.uint8)))
+        write_stream(path, DetectionStream(np.ones(16, dtype=np.uint8)))
         with pytest.raises(StreamFormatError, match="multiple of 8"):
             next(streamio.iter_stream_payload(path, chunk))
 
@@ -165,7 +167,7 @@ class TestCli:
     def test_round_robin_merge_of_unequal_inputs(self, tmp_path, capsys):
         paths = [tmp_path / "c0.tbd1", tmp_path / "c1.tbd1"]
         for path, size in zip(paths, (64, 72)):
-            streamio.write_stream(path, DetectionStream(np.ones(size, dtype=np.uint8)))
+            write_stream(path, DetectionStream(np.ones(size, dtype=np.uint8)))
         out = tmp_path / "o.bin"
         code, _, err = run(capsys, "extract", *map(str, paths), "--merge", "round-robin-block",
                            "--out", str(out))

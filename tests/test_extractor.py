@@ -53,16 +53,22 @@ def encode(n, positions):
     return int("".join(map(str, out.bit_array())), 2), out.total_bits
 
 
+def closed(packer, sink):
+    """The bytes and bit count that ``packer`` wrote to ``sink``, once closed."""
+    packer.close()
+    return sink.getvalue(), packer.bit_length
+
+
 def pack(frags, cuts=()):
     """Pack (value, width) fragments with one BitPacker.add call
     per piece between the sorted cut positions."""
     values = np.array([v for v, _ in frags], dtype=np.int64)
     lengths = np.array([w for _, w in frags], dtype=np.uint8)
-    packer = BitPacker()
+    packer = BitPacker(sink := io.BytesIO())
     bounds = [0, *cuts, len(frags)]
     for lo, hi in zip(bounds, bounds[1:]):
         packer.add(values[lo:hi], lengths[lo:hi])
-    return packer.getvalue(), packer.bit_length
+    return closed(packer, sink)
 
 
 class TestEncodeBlock:
@@ -244,10 +250,10 @@ class TestPackBits:
         # widths up to a whole word straddle word boundaries at every offset
         values = np.array([v for v, _ in frags], dtype=np.uint64)
         lengths = np.array([w for _, w in frags])
-        packer = BitPacker()
+        packer = BitPacker(sink := io.BytesIO())
         packer.add(values[:cut], lengths[:cut])
         packer.add(values[cut:], lengths[cut:])
-        assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
+        assert closed(packer, sink) == pack_reference(frags)
 
     @given(wide_fragment_lists, st.lists(st.integers(0, 40), max_size=8), st.integers(0, 48))
     def test_zero_width_fragments_add_nothing(self, frags, spots, cut):
@@ -256,10 +262,10 @@ class TestPackBits:
             mixed.insert(spot, (0, 0))
         values = np.array([v for v, _ in mixed], dtype=np.uint64)
         lengths = np.array([w for _, w in mixed])
-        packer = BitPacker()
+        packer = BitPacker(sink := io.BytesIO())
         packer.add(values[:cut], lengths[:cut])
         packer.add(values[cut:], lengths[cut:])
-        assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
+        assert closed(packer, sink) == pack_reference(frags)
 
     def test_zero_width_fragments_at_a_word_end(self):
         wide = (1 << 63) - 1
@@ -274,20 +280,20 @@ class TestPackBits:
         values = rng.integers(0, 1 << 63, widths.size, dtype=np.uint64) >> (64 - widths).astype(np.uint64)
         values[widths == 0] = 0
         frags = [(int(v), int(w)) for v, w in zip(values, widths) if w]  # the packer owns the arrays
-        packer = BitPacker()
+        packer = BitPacker(sink := io.BytesIO())
         for lo in range(0, widths.size, 5000):
             packer.add(values[lo : lo + 5000], widths[lo : lo + 5000])
-        assert (packer.getvalue(), packer.bit_length) == pack_reference(frags)
+        assert closed(packer, sink) == pack_reference(frags)
 
     @staticmethod
     def packed_in_passes(*passes):
         """Bytes and bit count of one BitPacker fed one pass per argument."""
-        packer = BitPacker()
+        packer = BitPacker(sink := io.BytesIO())
         for frags in passes:
             values, widths = zip(*frags)
             packer.add(np.array(values, dtype=np.uint64), np.array(widths))
             packer.bit_length  # packs what is queued
-        return packer.getvalue(), packer.bit_length
+        return closed(packer, sink)
 
     def test_whole_words_on_word_boundaries(self):
         a, b, c = (1 << 63) | 5, (1 << 64) - 1, 0x0123_4567_89AB_CDEF

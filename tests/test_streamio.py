@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from timebinrng import DetectionStream, DomainError, StreamFormatError, export_nist, extract
 from timebinrng import cli, streamio
 
-from oracles import file_bits
+from oracles import file_bits, write_stream
 
 
 def random_stream(n, seed=0, channel=2, period=1e-6):
@@ -26,7 +27,7 @@ class TestTbd1:
     def test_round_trip(self, tmp_path, n):
         s = random_stream(n)
         path = tmp_path / "s.tbd1"
-        streamio.write_stream(path, s)
+        write_stream(path, s)
         count, period_ns, channel = streamio.read_stream_header(path)
         assert np.array_equal(file_bits(path), s.windows)
         payload = b"".join(p.tobytes() for p, _ in streamio.iter_stream_payload(path, 1024))
@@ -36,7 +37,7 @@ class TestTbd1:
 
     def test_header_fields(self, tmp_path):
         path = tmp_path / "s.tbd1"
-        streamio.write_stream(path, random_stream(100, period=1e-6))
+        write_stream(path, random_stream(100, period=1e-6))
         count, period_ns, channel = streamio.read_stream_header(path)
         assert (count, period_ns, channel) == (100, 1000, 2)
         raw = path.read_bytes()
@@ -46,7 +47,7 @@ class TestTbd1:
     def test_incremental_writer_matches_one_shot(self, tmp_path):
         s = random_stream(1003)
         a, b = tmp_path / "a.tbd1", tmp_path / "b.tbd1"
-        streamio.write_stream(a, s)
+        write_stream(a, s)
         with streamio.StreamWriter(b, 1000, channel_id=2) as w:
             for lo in range(0, 1003, 61):
                 w.write(s.windows[lo : lo + 61])
@@ -67,7 +68,7 @@ class TestTbd1:
     def test_chunked_reader(self, tmp_path):
         s = random_stream(5000)
         path = tmp_path / "s.tbd1"
-        streamio.write_stream(path, s)
+        write_stream(path, s)
         chunks = list(streamio.iter_stream_windows(path, chunk_windows=1024))
         assert np.array_equal(np.concatenate(chunks), s.windows)
 
@@ -80,7 +81,7 @@ class TestTbd1:
 
     def test_truncated_payload_names_offset(self, tmp_path):
         path = tmp_path / "trunc.tbd1"
-        streamio.write_stream(path, random_stream(1000))
+        write_stream(path, random_stream(1000))
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(StreamFormatError) as err:
@@ -90,7 +91,7 @@ class TestTbd1:
     def test_unclosed_writer_is_rejected(self, tmp_path):
         # a writer that never reached close() leaves count 0 before its payload
         path = tmp_path / "crashed.tbd1"
-        streamio.write_stream(path, random_stream(1000))
+        write_stream(path, random_stream(1000))
         data = bytearray(path.read_bytes())
         data[8:16] = bytes(8)
         path.write_bytes(bytes(data))
@@ -100,7 +101,7 @@ class TestTbd1:
 
     def test_trailing_bytes_name_offset(self, tmp_path):
         path = tmp_path / "long.tbd1"
-        streamio.write_stream(path, random_stream(1000))
+        write_stream(path, random_stream(1000))
         size = path.stat().st_size
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(StreamFormatError) as err:
@@ -109,7 +110,7 @@ class TestTbd1:
 
     def test_nonzero_padding_names_offset(self, tmp_path):
         path = tmp_path / "pad.tbd1"
-        streamio.write_stream(path, random_stream(1001))  # 1 window in the last byte
+        write_stream(path, random_stream(1001))  # 1 window in the last byte
         data = bytearray(path.read_bytes())
         data[-1] |= 0x01
         path.write_bytes(bytes(data))
@@ -120,7 +121,7 @@ class TestTbd1:
     def test_payload_shrinking_after_the_header_read_names_offset(self, tmp_path):
         # the CLI reads the header once and hands it to the chunk reader
         path = tmp_path / "shrinks.tbd1"
-        streamio.write_stream(path, random_stream(1000))
+        write_stream(path, random_stream(1000))
         header = streamio.read_stream_header(path)
         data = path.read_bytes()
         path.write_bytes(data[:-10])
@@ -134,7 +135,7 @@ class TestTbd1:
         # the reader the CLI's extract uses: same check, same offset
         path = tmp_path / "shrinks.tbd1"
         stream = random_stream(1000)
-        streamio.write_stream(path, stream)
+        write_stream(path, stream)
         header = streamio.read_stream_header(path)
         data = path.read_bytes()
         path.write_bytes(data[:-10])
@@ -148,7 +149,7 @@ class TestTbd1:
     def test_payload_chunks_are_the_stored_bytes(self, tmp_path):
         path = tmp_path / "s.tbd1"
         stream = random_stream(1001)
-        streamio.write_stream(path, stream)
+        write_stream(path, stream)
         chunks = list(streamio.iter_stream_payload(path, chunk_windows=496))
         assert [count for _, count in chunks] == [496, 496, 9]
         assert b"".join(p.tobytes() for p, _ in chunks) == path.read_bytes()[streamio.HEADER_SIZE :]
@@ -206,6 +207,26 @@ class TestAscii:
             with pytest.raises(StreamFormatError, match="invalid character 'x'") as err:
                 list(streamio.iter_ascii_payload(path, chunk))
             assert err.value.offset == at
+
+    def test_peak_holds_one_chunk(self, tmp_path):
+        # a tail view of the joined 0/1 windows, and the local that named
+        # them, kept a read chunk alive through the next one's reads: 3.55
+        # against 2.42 B per chunk window for a one-chunk file
+        chunk, rng = 1 << 18, np.random.default_rng(11)
+
+        def peak(chunks):
+            path = tmp_path / f"{chunks}.txt"
+            path.write_bytes(rng.choice(np.frombuffer(b"01", np.uint8), chunks * chunk).tobytes())
+            tracemalloc.start()
+            try:
+                for _ in streamio.iter_ascii_payload(path, chunk):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(1), peak(4)
+        assert four <= 1.2 * one, (one, four)
 
 
 class TestBitFiles:
@@ -312,7 +333,7 @@ class TestAtomicOutputs:
 
     def test_failed_rewrite_keeps_old_file(self, tmp_path):
         path = tmp_path / "s.tbd1"
-        streamio.write_stream(path, random_stream(100))
+        write_stream(path, random_stream(100))
         before = path.read_bytes()
         with pytest.raises(RuntimeError):
             with streamio.StreamWriter(path, 1000) as w:
@@ -358,7 +379,7 @@ class TestAtomicOutputs:
 
     def test_period_rounds_to_whole_ns(self, tmp_path):
         path = tmp_path / "s.tbd1"
-        streamio.write_stream(path, random_stream(9, period=0.51e-9))
+        write_stream(path, random_stream(9, period=0.51e-9))
         streamio.StreamWriter(tmp_path / "t.tbd1", (1 << 64) - 1).close()
         assert streamio.read_stream_header(path)[1] == 1
         assert streamio.read_stream_header(tmp_path / "t.tbd1")[1] == (1 << 64) - 1
